@@ -6,12 +6,14 @@ synthetic inputs, asserts the outputs agree, gates on the required
 speedup, and appends the timings to ``BENCH_analysis.json`` so CI can
 archive the bench trajectory.
 
-Gates (from the PR acceptance criteria): >=5x on ``detect_loop`` for a
-1,000-element dedup sequence, >=3x on end-to-end ``analyze_trace`` for
-a large synthetic trace.  The two-pointer ``run_performance`` merge and
-the forward-cursor ``scg_measurement_delays`` are timed and recorded
-but gated only on output equality, since their share of the end-to-end
-win is already covered by the ``analyze_trace`` gate.
+Gates: >=5x on ``detect_loop`` for a 1,000-element dedup sequence, >=3x
+on end-to-end ``analyze_trace`` for a large synthetic trace, and >=3x
+for the columnar ``analyze_trace`` against the per-record pipeline of
+``tests/oracles.py``.  The production ``run_performance_columnar`` and
+``scg_measurement_delays_columnar`` are timed against the naive
+versions (on column tables built beforehand: the pipeline builds them
+once per trace for all stages, which the end-to-end gates cover) and
+gated only on output equality.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ import pytest
 
 from repro.cells.cell import CellIdentity, Rat
 from repro.core.cellset import CellSet, CellSetInterval, five_g_timeline
-from repro.core.loops import LoopKind, dedup_sequence, detect_loop
-from repro.core.metrics import (
-    RunPerformance,
-    run_performance,
-    scg_measurement_delays,
+from repro.core.columnar import (
+    IntervalColumns,
+    RecordColumnsBuilder,
+    run_performance_columnar,
+    scg_measurement_delays_columnar,
 )
+from repro.core.loops import LoopKind, dedup_sequence, detect_loop
+from repro.core.metrics import RunPerformance
 from repro.core.pipeline import analyze_trace
 from repro.traces.log import SignalingTrace, TraceMetadata
 from repro.traces.records import (
@@ -46,6 +50,7 @@ from repro.traces.records import (
     ThroughputSampleRecord,
 )
 from benchmarks.conftest import print_header
+from tests.oracles import run_performance, scg_measurement_delays
 
 pytestmark = pytest.mark.perf
 
@@ -199,7 +204,8 @@ def _naive_analyze_trace(trace):
     detection/metrics.  Classification and cell-set extraction are the
     unchanged shared stages, called exactly as the seed did."""
     from repro.core.cellset import extract_cellset_sequence
-    from repro.core.classify import LoopSubtype, classify_loop
+    from repro.core.classify import LoopSubtype
+    from tests.oracles import classify_loop
 
     records = trace.signaling_records()
     end_time = trace.records[-1].time_s if trace.records else 0.0
@@ -337,25 +343,30 @@ def test_detect_loop_speedup_on_1000_element_sequence():
     assert speedup >= 5.0, f"detect_loop speedup {speedup:.1f}x < 5x"
 
 
-def test_run_performance_two_pointer_merge_matches_and_wins():
+def test_run_performance_columnar_matches_and_wins():
     intervals, series = _dense_timeline()
+    icolumns = IntervalColumns.from_intervals(intervals)
+    builder = RecordColumnsBuilder()
+    for t, mbps in series:
+        builder.push(ThroughputSampleRecord(time_s=t, mbps=mbps))
+    rcolumns = builder.build()
 
     naive_s = _best_of(lambda: _naive_run_performance(intervals, series))
-    fast_s = _best_of(lambda: run_performance(intervals, series))
+    fast_s = _best_of(lambda: run_performance_columnar(icolumns, rcolumns))
 
     naive = _naive_run_performance(intervals, series)
-    fast = run_performance(intervals, series)
+    fast = run_performance_columnar(icolumns, rcolumns)
     # The series starts at the first segment, so the dropped-prefix fix
     # changes nothing here: the buckets must agree exactly.
     assert fast.on_speed_samples == naive.on_speed_samples
     assert fast.off_speed_samples == naive.off_speed_samples
     assert fast.cycle_speed_losses == naive.cycle_speed_losses
 
-    print_header("Hot path — run_performance, 1 h trace at 1 Hz")
+    print_header("Hot path — run_performance_columnar, 1 h trace at 1 Hz")
     _record_timing("run_performance_3600", naive_s, fast_s)
 
 
-def test_scg_delays_forward_cursor_matches_and_wins():
+def test_scg_delays_columnar_matches_and_wins():
     records: list[Record] = []
     for t in range(3600):
         if t % 10 == 5:
@@ -367,12 +378,18 @@ def test_scg_delays_forward_cursor_matches_and_wins():
         records.append(MeasurementReportRecord(time_s=t + 0.4,
                                                measurements=cells))
 
+    builder = RecordColumnsBuilder()
+    for record in records:
+        builder.push(record)
+    rcolumns = builder.build()
+
     naive_s = _best_of(lambda: _naive_scg_delays(records))
-    fast_s = _best_of(lambda: scg_measurement_delays(records))
+    fast_s = _best_of(lambda: scg_measurement_delays_columnar(rcolumns))
 
-    assert scg_measurement_delays(records) == _naive_scg_delays(records)
+    assert scg_measurement_delays_columnar(rcolumns) == \
+        _naive_scg_delays(records)
 
-    print_header("Hot path — scg_measurement_delays, 360 failures")
+    print_header("Hot path — scg_measurement_delays_columnar, 360 failures")
     _record_timing("scg_delays_3600", naive_s, fast_s)
 
 
@@ -405,20 +422,21 @@ def test_analyze_trace_end_to_end_speedup():
 
 
 def _pr5_analyze_trace(trace):
-    """The pre-columnar pipeline: the retained per-record library
-    functions, called in the exact shape ``analyze_trace`` had before
-    the columnar data plane (one record materialization, per-record
-    two-pointer merges and cursors)."""
+    """The pre-columnar pipeline: the per-record oracles of
+    ``tests/oracles.py``, called in the exact shape ``analyze_trace``
+    had before the columnar data plane (one record materialization,
+    per-record two-pointer merges and cursors)."""
     from repro.core.cellset import extract_cellset_sequence
-    from repro.core.classify import LoopSubtype, classify_loop
+    from repro.core.classify import LoopSubtype
     from repro.core.loops import loop_window
-    from repro.core.metrics import loop_cycles
-    from repro.core.pipeline import (
-        RunAnalysis,
+    from repro.core.pipeline import RunAnalysis
+    from repro.cells.cell import Rat
+    from tests.oracles import (
         _collect_measurement_stats,
         _scell_modification_outcomes,
+        classify_loop,
+        loop_cycles,
     )
-    from repro.cells.cell import Rat
 
     records = trace.signaling_records()
     end_time = trace.records[-1].time_s if trace.records else 0.0

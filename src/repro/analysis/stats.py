@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def cdf_points(values: list[float]) -> list[tuple[float, float]]:
@@ -57,21 +56,34 @@ def violin_summary(values: list[float]) -> ViolinSummary:
     return ViolinSummary.of(values)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
+
+
 def spearman(x: list[float], y: list[float]) -> float:
-    """Spearman rank correlation coefficient (NaN-safe, 0 for tiny samples)."""
+    """Spearman rank correlation coefficient: the Pearson correlation of
+    the average ranks.  0 for samples under 3, NaN-bearing samples and
+    constant samples, which have no rank correlation."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     if len(x) < 3:
         return 0.0
-    import warnings
-
-    with warnings.catch_warnings():
-        # Constant inputs have no rank correlation; we map that to 0.
-        warnings.simplefilter("ignore")
-        coefficient, _p = scipy_stats.spearmanr(x, y)
-    if np.isnan(coefficient):
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(y, dtype=float)
+    if np.isnan(a).any() or np.isnan(b).any():
         return 0.0
-    return float(coefficient)
+    rank_a, rank_b = _average_ranks(a), _average_ranks(b)
+    if np.ptp(rank_a) == 0 or np.ptp(rank_b) == 0:
+        return 0.0
+    return float(np.corrcoef(rank_a, rank_b)[0, 1])
 
 
 def fraction_within(errors: list[float], bound: float) -> float:

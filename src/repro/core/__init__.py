@@ -14,8 +14,8 @@ from repro.core.cellset import (
     five_g_timeline,
 )
 from repro.core.loops import LoopDetection, LoopKind, detect_loop, loop_window
-from repro.core.classify import LoopSubtype, classify_loop, classify_off_transition
-from repro.core.metrics import CycleMetrics, RunPerformance, loop_cycles, run_performance
+from repro.core.classify import LoopSubtype
+from repro.core.metrics import CycleMetrics, RunPerformance
 from repro.core.pipeline import RunAnalysis, analyze_trace
 from repro.core.prediction import (
     LocationFeatures,
@@ -37,15 +37,11 @@ __all__ = [
     "RunPerformance",
     "S1LoopPredictor",
     "analyze_trace",
-    "classify_loop",
-    "classify_off_transition",
     "detect_loop",
     "extract_cellset_sequence",
     "fit_s1e3_model",
     "five_g_timeline",
     "logistic_usage",
-    "loop_cycles",
     "loop_window",
-    "run_performance",
     "s1e3_probability",
 ]

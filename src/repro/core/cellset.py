@@ -280,7 +280,7 @@ def extract_cellset_sequence(records: list[Record],
     Consecutive state-changing records sharing a timestamp (a release
     immediately re-logged as a setup, say) never emit a zero-duration
     interval: the last state recorded at that instant wins.  Without
-    this, downstream ``five_g_timeline``/``loop_cycles`` can see
+    this, downstream ``five_g_timeline``/``loop_cycles_columnar`` can see
     degenerate zero-width ON segments and produce ``on_s == 0`` cycles.
 
     Regressing timestamps raise

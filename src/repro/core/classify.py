@@ -15,24 +15,18 @@ it, exactly the way the paper's cause analysis works:
   serving SCell persistently reporting very poor RSRQ -> **S1E2**.
 
 A loop's sub-type is the majority vote over its OFF transitions.
+
+This module holds the vocabulary (sub-types, classified transitions and
+the trigger windows); the classifier itself is
+:func:`repro.core.columnar.classify_loop_columnar`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
-from repro.cells.cell import CellIdentity, Rat
-from repro.core.cellset import CellSet, CellSetInterval, five_g_timeline
-from repro.traces.records import (
-    MeasurementReportRecord,
-    MmStateRecord,
-    Record,
-    RrcReconfigurationRecord,
-    RrcReestablishmentRequestRecord,
-    ScgFailureRecord,
-)
+from repro.cells.cell import CellIdentity
 
 # How far around an OFF transition we look for its trigger.
 _TRIGGER_WINDOW_BEFORE_S = 2.5
@@ -79,157 +73,3 @@ class OffTransition:
     time_s: float
     subtype: LoopSubtype
     problem_cell: "CellIdentity | None" = None
-
-
-def _window(records: list[Record], t_off: float) -> list[Record]:
-    return [record for record in records
-            if t_off - _TRIGGER_WINDOW_BEFORE_S <= record.time_s
-            <= t_off + _TRIGGER_WINDOW_AFTER_S]
-
-
-def _on_cellset_before(intervals: list[CellSetInterval],
-                       t_off: float) -> CellSet | None:
-    """The serving cell set that was active just before the OFF transition."""
-    best: CellSet | None = None
-    for interval in intervals:
-        if interval.cellset.five_g_on and interval.start_s < t_off + 1e-6 \
-                and interval.end_s <= t_off + 1e-6:
-            best = interval.cellset
-    return best
-
-
-def _classify_sa_exception(records: list[Record],
-                           intervals: list[CellSetInterval],
-                           t_off: float) -> tuple[LoopSubtype,
-                                                  CellIdentity | None]:
-    """Split an MM-DEREGISTERED exception into S1E1 / S1E2 / S1E3."""
-    for record in records:
-        if isinstance(record, RrcReconfigurationRecord) \
-                and t_off - 2.0 <= record.time_s <= t_off + 1e-6 \
-                and record.scell_add_mod and record.scell_release_indices:
-            return LoopSubtype.S1E3, record.scell_add_mod[0].identity
-
-    cellset = _on_cellset_before(intervals, t_off)
-    if cellset is None or cellset.pcell is None:
-        return LoopSubtype.UNKNOWN, None
-    serving_scells = [cell for cell in cellset.mcg_scells if cell.rat is Rat.NR]
-    if not serving_scells:
-        return LoopSubtype.UNKNOWN, None
-
-    recent_reports = [record for record in records
-                      if isinstance(record, MeasurementReportRecord)
-                      and t_off - _REPORT_LOOKBACK_S <= record.time_s <= t_off]
-    if recent_reports:
-        for scell in serving_scells:
-            seen = any(report.measurement_of(scell) is not None
-                       for report in recent_reports)
-            if not seen:
-                return LoopSubtype.S1E1, scell
-        poor_votes = 0
-        worst_scell = None
-        for report in recent_reports:
-            for scell in serving_scells:
-                measurement = report.measurement_of(scell)
-                if measurement is not None and measurement.rsrq_db <= _POOR_RSRQ_DB:
-                    poor_votes += 1
-                    worst_scell = scell
-                    break
-        if poor_votes >= max(1, len(recent_reports) // 2):
-            return LoopSubtype.S1E2, worst_scell
-    return LoopSubtype.UNKNOWN, None
-
-
-def classify_off_transition_cell(records: list[Record],
-                                 intervals: list[CellSetInterval],
-                                 t_off: float,
-                                 t_off_end: float | None = None,
-                                 ) -> tuple[LoopSubtype, CellIdentity | None]:
-    """Classify the trigger of one 5G-OFF transition.
-
-    ``t_off_end`` is when 5G next turned ON (or the end of trace).  An N1
-    loop loses the 4G connection *somewhere within* the OFF period —
-    e.g. OP_A's blind redirect to a weak twin fails a second or two
-    after the SCG-releasing handover that started the OFF — so the
-    reestablishment search spans the whole period, while the other
-    triggers are looked up right around the transition itself.
-    """
-    window = _window(records, t_off)
-
-    for record in window:
-        if isinstance(record, ScgFailureRecord):
-            return LoopSubtype.N2E2, _last_scg_pscell(records, t_off)
-    period_end = t_off_end if t_off_end is not None \
-        else t_off + _TRIGGER_WINDOW_AFTER_S
-    for record in records:
-        if not isinstance(record, RrcReestablishmentRequestRecord):
-            continue
-        if t_off - _TRIGGER_WINDOW_BEFORE_S <= record.time_s <= period_end:
-            if record.cause == "handoverFailure":
-                return LoopSubtype.N1E2, record.cell
-            return LoopSubtype.N1E1, record.cell
-    for record in window:
-        if isinstance(record, MmStateRecord) and record.state == "DEREGISTERED":
-            return _classify_sa_exception(records, intervals, t_off)
-    for record in window:
-        if isinstance(record, RrcReconfigurationRecord) and record.is_handover \
-                and record.release_scg:
-            return LoopSubtype.N2E1, record.handover_target
-    for record in window:
-        if isinstance(record, RrcReconfigurationRecord) and record.release_scg \
-                and not record.is_handover:
-            return LoopSubtype.N2_A2B1, _last_scg_pscell(records, t_off)
-    return LoopSubtype.UNKNOWN, None
-
-
-def _last_scg_pscell(records: list[Record], t_off: float) -> CellIdentity | None:
-    """The PSCell of the most recent SCG configuration before an OFF."""
-    last = None
-    for record in records:
-        if record.time_s > t_off + _TRIGGER_WINDOW_AFTER_S:
-            break
-        if isinstance(record, RrcReconfigurationRecord) \
-                and record.scg_pscell is not None:
-            last = record.scg_pscell
-    return last
-
-
-def classify_off_transition(records: list[Record],
-                            intervals: list[CellSetInterval],
-                            t_off: float,
-                            t_off_end: float | None = None) -> LoopSubtype:
-    """Classify the trigger of one 5G-OFF transition (sub-type only)."""
-    subtype, _cell = classify_off_transition_cell(records, intervals, t_off,
-                                                  t_off_end)
-    return subtype
-
-
-def off_transition_times(intervals: list[CellSetInterval]) -> list[float]:
-    """Times at which 5G turned OFF (excluding an OFF start of trace)."""
-    return [start for start, _end in off_periods(intervals)]
-
-
-def off_periods(intervals: list[CellSetInterval]) -> list[tuple[float, float]]:
-    """(start, end) of every OFF period that follows an ON period."""
-    segments = five_g_timeline(intervals)
-    periods = []
-    for index in range(1, len(segments)):
-        if not segments[index][0] and segments[index - 1][0]:
-            periods.append((segments[index][1], segments[index][2]))
-    return periods
-
-
-def classify_loop(records: list[Record],
-                  intervals: list[CellSetInterval]) -> tuple[LoopSubtype,
-                                                             list[OffTransition]]:
-    """Classify every OFF transition and majority-vote the loop sub-type."""
-    transitions = []
-    for start, end in off_periods(intervals):
-        subtype, problem_cell = classify_off_transition_cell(
-            records, intervals, start, end)
-        transitions.append(OffTransition(start, subtype, problem_cell))
-    votes = Counter(transition.subtype for transition in transitions
-                    if transition.subtype is not LoopSubtype.UNKNOWN)
-    if not votes:
-        return LoopSubtype.UNKNOWN, transitions
-    majority = votes.most_common(1)[0][0]
-    return majority, transitions

@@ -1,23 +1,19 @@
 """Columnar data plane for the analysis hot path.
 
-``analyze_trace`` spends most of its time re-scanning Python record
-lists: every OFF transition re-filters the whole trace for its trigger
-window, the throughput merge advances a Python cursor sample by sample,
-and the measurement-stat pass re-walks the interval list.  This module
-builds numpy-backed tables **once per trace** — per-kind record time
-arrays (:class:`RecordColumns`) and interval start/end/5G-on/interned
-cell-set-id arrays (:class:`IntervalColumns`) — and reimplements the
-per-record merges as ``np.searchsorted`` lookups over them.
+This module builds numpy-backed tables **once per trace** — per-kind
+record time arrays (:class:`RecordColumns`) and interval
+start/end/5G-on/interned cell-set-id arrays (:class:`IntervalColumns`)
+— and answers every classification and metric query as
+``np.searchsorted`` lookups over them, instead of re-filtering the
+record list per OFF transition, advancing a Python cursor per
+throughput sample, or re-walking the interval list per report.
 
-The columnar functions are *bit-identical* to the per-record
-implementations they accelerate (``repro.core.metrics``,
-``repro.core.classify``, and the stat collectors in
-``repro.core.pipeline``), which stay in the tree as test oracles; the
-property tests in ``tests/test_core_columnar.py`` and the benchmark
-gate in ``benchmarks/test_analysis_hotpath.py`` enforce the
-equivalence.  Everything stays behind the existing dataclass schemas:
-callers still receive ``CycleMetrics`` / ``RunPerformance`` /
-``OffTransition`` objects, only the arithmetic underneath is batched.
+These are the only implementations of the primitives in ``repro``.
+Their plain record-by-record versions live in ``tests/oracles.py``: the
+property tests in ``tests/test_core_columnar.py`` require the two to be
+*bit-identical*, and ``benchmarks/test_analysis_hotpath.py`` times the
+pipeline against them.  Results keep the dataclass schemas of
+:mod:`repro.core.metrics` and :mod:`repro.core.classify`.
 """
 
 from __future__ import annotations
@@ -115,7 +111,7 @@ class RecordColumns:
     #: (the SCell-outcome lookahead is index-ordered).
     dereg_t: np.ndarray
     dereg_sig_index: np.ndarray
-    #: Reconfigurations carrying an SCG config (for ``_last_scg_pscell``).
+    #: Reconfigurations carrying an SCG config (the N2 problem PSCell).
     scg_config_t: np.ndarray
     scg_config_pscells: list[CellIdentity]
     #: Handover reconfigurations that also release the SCG (N2E1).
@@ -298,18 +294,19 @@ class IntervalColumns:
 
 
 # ----------------------------------------------------------------------
-# Metrics (oracles: repro.core.metrics)
+# Metrics (result types: repro.core.metrics)
 # ----------------------------------------------------------------------
 
 
 def run_performance_columnar(icolumns: IntervalColumns,
                              rcolumns: RecordColumns) -> RunPerformance:
-    """Columnar :func:`repro.core.metrics.run_performance`.
+    """Split the 1 Hz speed series by 5G state and compute per-cycle losses.
 
-    The Python cursor merge becomes one ``searchsorted`` of the sample
-    times into the segment ends: for an in-range sample the cursor rule
-    "first segment with ``t < end``" is exactly
-    ``searchsorted(seg_end, t, side='right')``, and samples before the
+    Samples captured *before* the first signaling record carry no known
+    5G state and are dropped; samples past the final segment extrapolate
+    its state, as the capture simply outlived the signaling.  An
+    in-range sample belongs to the first segment with ``t < end``, which
+    is ``searchsorted(seg_end, t, side='right')``; samples before the
     first / past the last segment split off as contiguous prefix/suffix
     blocks because both series are time-ordered.
     """
@@ -352,7 +349,14 @@ def run_performance_columnar(icolumns: IntervalColumns,
 def loop_cycles_columnar(icolumns: IntervalColumns,
                          window: tuple[float, float] | None = None,
                          ) -> list[CycleMetrics]:
-    """Columnar :func:`repro.core.metrics.loop_cycles` (vectorised clip)."""
+    """Every complete ON-then-OFF cycle of the 5G timeline.
+
+    ``window`` restricts extraction to a [start, end) time span —
+    normally the detected loop's span (see
+    :func:`repro.core.loops.loop_window`), so cycles outside the
+    periodic region do not contaminate the Figure 10 distributions.
+    Segments straddling the window boundary are clipped to it.
+    """
     seg_on = icolumns.seg_on
     seg_start = icolumns.seg_start
     seg_end = icolumns.seg_end
@@ -368,7 +372,7 @@ def loop_cycles_columnar(icolumns: IntervalColumns,
 
 
 def scg_measurement_delays_columnar(rcolumns: RecordColumns) -> list[float]:
-    """Columnar :func:`repro.core.metrics.scg_measurement_delays`."""
+    """Delay from each SCG failure to the next report containing a 5G cell."""
     failure_t = rcolumns.scg_failure_t
     report_t = rcolumns.nr_report_t
     if failure_t.size == 0:
@@ -379,7 +383,7 @@ def scg_measurement_delays_columnar(rcolumns: RecordColumns) -> list[float]:
 
 
 # ----------------------------------------------------------------------
-# Classification (oracle: repro.core.classify)
+# Classification (vocabulary: repro.core.classify)
 # ----------------------------------------------------------------------
 
 
@@ -392,8 +396,9 @@ def _window_count(times: np.ndarray, lo: np.ndarray,
 
 def _on_cellset_before(icolumns: IntervalColumns,
                        t_off: float) -> CellSet | None:
-    """Columnar ``classify._on_cellset_before``: the last ON interval
-    with ``start < t_off + eps`` and ``end <= t_off + eps``."""
+    """The serving cell set active just before an OFF transition: the
+    last ON interval with ``start < t_off + eps`` and
+    ``end <= t_off + eps``."""
     cutoff = t_off + 1e-6
     index = int(np.searchsorted(icolumns.on_end, cutoff, side="right")) - 1
     while index >= 0 and not (icolumns.on_start[index] < cutoff):
@@ -407,7 +412,7 @@ def _classify_sa_exception(rcolumns: RecordColumns,
                            icolumns: IntervalColumns,
                            t_off: float) -> tuple[LoopSubtype,
                                                   CellIdentity | None]:
-    """Columnar ``classify._classify_sa_exception`` (S1E1/S1E2/S1E3)."""
+    """Split an MM-DEREGISTERED exception into S1E1 / S1E2 / S1E3."""
     mod_index = int(np.searchsorted(rcolumns.scellmod_t, t_off - 2.0,
                                     side="left"))
     if mod_index < rcolumns.scellmod_t.size \
@@ -449,14 +454,18 @@ def _classify_sa_exception(rcolumns: RecordColumns,
 def classify_loop_columnar(rcolumns: RecordColumns,
                            icolumns: IntervalColumns,
                            ) -> tuple[LoopSubtype, list[OffTransition]]:
-    """Columnar :func:`repro.core.classify.classify_loop`.
+    """Classify every OFF transition and majority-vote the loop sub-type.
 
-    Every trigger-window membership test the per-record classifier
-    performs by re-filtering the record list becomes a pair of
-    ``searchsorted`` bounds, batched across *all* OFF transitions at
-    once; the per-transition loop then only dispatches on the
-    precomputed bounds (plus the small per-report S1 analysis).  Branch
-    order, window inclusivity and tie-breaking all match the oracle.
+    Triggers are looked up in the window around each transition (see
+    :mod:`repro.core.classify` for the rules), except the N1
+    reestablishment search: an N1 loop loses the 4G connection
+    *somewhere within* the OFF period — e.g. OP_A's blind redirect to a
+    weak twin fails a second or two after the SCG-releasing handover
+    that started the OFF — so that search spans the whole period.
+    Every window membership test is a pair of ``searchsorted`` bounds,
+    batched across *all* OFF transitions at once; the per-transition
+    loop then only dispatches on the precomputed bounds (plus the small
+    per-report S1 analysis).
     """
     seg_on = icolumns.seg_on
     off_indices = np.flatnonzero(seg_on[:-1] & ~seg_on[1:]) + 1
@@ -478,7 +487,7 @@ def classify_loop_columnar(rcolumns: RecordColumns,
                                    window_lo, window_hi) > 0
     has_scg_release = _window_count(rcolumns.scg_release_t,
                                     window_lo, window_hi) > 0
-    # _last_scg_pscell: the latest SCG config at or before t_off + after.
+    # N2 problem cell: the latest SCG PSCell at or before t_off + after.
     pscell_pos = np.searchsorted(rcolumns.scg_config_t, window_hi,
                                  side="right") - 1
 

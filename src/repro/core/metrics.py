@@ -12,10 +12,8 @@ From a run's cell set timeline and throughput capture we derive:
   until the next measurement report contains any 5G cell (Figure 19c,
   the OP_V 30-second-multiple behaviour).
 
-The speed split is a single two-pointer merge of the (sorted) 1 Hz
-throughput series against the 5G timeline segments: ON/OFF buckets,
-per-segment sample lists and per-cycle losses all come out of one pass,
-instead of rescanning the whole series per segment.
+This module holds the result types; they are computed by the columnar
+functions of :mod:`repro.core.columnar`.
 """
 
 from __future__ import annotations
@@ -23,10 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.cells.cell import Rat
-from repro.core.cellset import CellSetInterval, five_g_timeline
-from repro.traces.records import MeasurementReportRecord, Record, ScgFailureRecord
 
 
 @dataclass(frozen=True)
@@ -45,36 +39,6 @@ class CycleMetrics:
         if self.cycle_s <= 0:
             return 0.0
         return self.off_s / self.cycle_s
-
-
-def loop_cycles(intervals: list[CellSetInterval],
-                window: tuple[float, float] | None = None) -> list[CycleMetrics]:
-    """Extract every complete ON-then-OFF cycle from the 5G timeline.
-
-    ``window`` restricts extraction to a [start, end) time span —
-    normally the detected loop's span (see
-    :func:`repro.core.loops.loop_window`), so cycles outside the
-    periodic region do not contaminate the Figure 10 distributions.
-    Segments straddling the window boundary are clipped to it.
-    """
-    segments = five_g_timeline(intervals)
-    if window is not None:
-        start_w, end_w = window
-        clipped = []
-        for on, start, end in segments:
-            start_c = max(start, start_w)
-            end_c = min(end, end_w)
-            if end_c > start_c:
-                clipped.append((on, start_c, end_c))
-        segments = clipped
-    cycles: list[CycleMetrics] = []
-    for index in range(len(segments) - 1):
-        on_segment = segments[index]
-        off_segment = segments[index + 1]
-        if on_segment[0] and not off_segment[0]:
-            cycles.append(CycleMetrics(on_s=on_segment[2] - on_segment[1],
-                                       off_s=off_segment[2] - off_segment[1]))
-    return cycles
 
 
 @dataclass
@@ -102,75 +66,3 @@ class RunPerformance:
         if not self.cycle_speed_losses:
             return max(self.median_on_mbps - self.median_off_mbps, 0.0)
         return float(np.median(self.cycle_speed_losses))
-
-
-def run_performance(intervals: list[CellSetInterval],
-                    throughput_series: list[tuple[float, float]]) -> RunPerformance:
-    """Split the 1 Hz speed series by 5G state and compute per-cycle losses.
-
-    ``throughput_series`` must be sorted by time (traces guarantee it);
-    the merge against the timeline segments is a single forward pass.
-    Samples captured *before* the first signaling record carry no known
-    5G state and are dropped; samples past the final segment extrapolate
-    its state, as the capture simply outlived the signaling.
-    """
-    segments = five_g_timeline(intervals)
-    performance = RunPerformance()
-    if not segments or not throughput_series:
-        return performance
-    first_start = segments[0][1]
-    last_on, _last_start, last_end = segments[-1]
-    on_samples = performance.on_speed_samples
-    off_samples = performance.off_speed_samples
-    segment_samples: list[list[float]] = [[] for _ in segments]
-    cursor = 0
-    last_index = len(segments) - 1
-    for t, mbps in throughput_series:
-        if t < first_start:
-            continue
-        if t >= last_end:
-            (on_samples if last_on else off_samples).append(mbps)
-            continue
-        while cursor < last_index and t >= segments[cursor][2]:
-            cursor += 1
-        segment_samples[cursor].append(mbps)
-        (on_samples if segments[cursor][0] else off_samples).append(mbps)
-    # Per-cycle loss: median ON speed minus median OFF speed inside each
-    # consecutive (ON, OFF) segment pair.
-    for index in range(len(segments) - 1):
-        if not (segments[index][0] and not segments[index + 1][0]):
-            continue
-        on_speeds = segment_samples[index]
-        off_speeds = segment_samples[index + 1]
-        if on_speeds and off_speeds:
-            loss = float(np.median(on_speeds)) - float(np.median(off_speeds))
-            performance.cycle_speed_losses.append(loss)
-    return performance
-
-
-def scg_measurement_delays(records: list[Record]) -> list[float]:
-    """Delay from each SCG failure to the next report containing a 5G cell.
-
-    One pass splits the (time-ordered) records into failure times and
-    the times of reports that contain any NR cell; a forward-only cursor
-    then matches each failure to its recovery report, so the matching is
-    O(failures + reports) instead of O(failures x reports).
-    """
-    failure_times: list[float] = []
-    nr_report_times: list[float] = []
-    for record in records:
-        if isinstance(record, ScgFailureRecord):
-            failure_times.append(record.time_s)
-        elif isinstance(record, MeasurementReportRecord):
-            if any(measurement.identity.rat is Rat.NR
-                   for measurement in record.measurements):
-                nr_report_times.append(record.time_s)
-    delays: list[float] = []
-    cursor = 0
-    n_reports = len(nr_report_times)
-    for failure_time in failure_times:
-        while cursor < n_reports and nr_report_times[cursor] <= failure_time:
-            cursor += 1
-        if cursor < n_reports:
-            delays.append(nr_report_times[cursor] - failure_time)
-    return delays

@@ -23,25 +23,13 @@ from repro.core.columnar import (
     scg_measurement_delays_columnar,
 )
 from repro.core.deadline import check_deadline
-from repro.core.classify import LoopSubtype, OffTransition, classify_loop
+from repro.core.classify import LoopSubtype, OffTransition
 from repro.core.loops import LoopDetection, LoopKind, detect_loop, loop_window
-from repro.core.metrics import (
-    CycleMetrics,
-    RunPerformance,
-    loop_cycles,
-    run_performance,
-    scg_measurement_delays,
-)
+from repro.core.metrics import CycleMetrics, RunPerformance
 
 import numpy as np
 from repro.obs import get_instrumentation
 from repro.traces.log import SignalingTrace, TraceMetadata
-from repro.traces.records import (
-    MeasurementReportRecord,
-    MmStateRecord,
-    Record,
-    RrcReconfigurationRecord,
-)
 
 
 @dataclass(frozen=True)
@@ -84,45 +72,10 @@ class RunAnalysis:
         return self.detection.kind
 
 
-def _scell_modification_outcomes(records: list[Record]) -> list[ScellModOutcome]:
-    """Find SCell modifications and whether each was followed by the exception.
-
-    ``records`` is the run's already-materialized signaling record list;
-    the exception lookahead walks it by index inside the 1.5 s window
-    instead of slicing a fresh tail list per reconfiguration.
-
-    Retained as the per-record oracle for
-    :func:`_scell_modification_outcomes_columnar`.
-    """
-    outcomes: list[ScellModOutcome] = []
-    n_records = len(records)
-    for index, record in enumerate(records):
-        if not isinstance(record, RrcReconfigurationRecord):
-            continue
-        if record.is_handover or record.adds_scg or record.release_scg:
-            continue
-        if not (record.scell_add_mod and record.scell_release_indices):
-            continue
-        failed = False
-        cutoff = record.time_s + 1.5
-        later_index = index + 1
-        while later_index < n_records:
-            later = records[later_index]
-            if later.time_s > cutoff:
-                break
-            if isinstance(later, MmStateRecord) and later.state == "DEREGISTERED":
-                failed = True
-                break
-            later_index += 1
-        for entry in record.scell_add_mod:
-            outcomes.append(ScellModOutcome(channel=entry.identity.channel,
-                                            failed=failed))
-    return outcomes
-
-
 def _scell_modification_outcomes_columnar(
         columns: RecordColumns) -> list[ScellModOutcome]:
-    """Columnar :func:`_scell_modification_outcomes`.
+    """Find SCell modifications and whether each was followed by the
+    MM5G DEREGISTERED exception within 1.5 s.
 
     The per-reconfiguration record lookahead becomes one
     ``searchsorted`` into the DEREGISTERED line indices: the first
@@ -148,8 +101,9 @@ def _scell_modification_outcomes_columnar(
     return outcomes
 
 
-def _collect_measurement_stats(records: list[Record],
-                               analysis: RunAnalysis) -> None:
+def _collect_measurement_stats_columnar(rcolumns: RecordColumns,
+                                        icolumns: IntervalColumns,
+                                        analysis: RunAnalysis) -> None:
     """Tally observed cells, RSRP samples, and per-channel serving RSRP.
 
     Reports timestamped before the first interval carry no known
@@ -157,41 +111,10 @@ def _collect_measurement_stats(records: list[Record],
     ``n_rsrp_samples`` but must not be attributed to the first
     interval's cells (that inflates ``serving_nr_rsrp``, Figure 17).
 
-    Retained as the per-record oracle for
-    :func:`_collect_measurement_stats_columnar`.
-    """
-    serving_now: frozenset[CellIdentity] | set[CellIdentity] = set()
-    interval_index = 0
-    intervals = analysis.intervals
-    for record in records:
-        if not isinstance(record, MeasurementReportRecord):
-            continue
-        while interval_index < len(intervals) - 1 and \
-                intervals[interval_index].end_s <= record.time_s:
-            interval_index += 1
-        if not intervals or record.time_s < intervals[0].start_s:
-            serving_now = set()
-        else:
-            serving_now = intervals[interval_index].cellset.all_cells()
-        for measurement in record.measurements:
-            analysis.observed_cells.add(measurement.identity)
-            analysis.n_rsrp_samples += 1
-            identity = measurement.identity
-            if identity.rat is Rat.NR and identity in serving_now:
-                analysis.serving_nr_rsrp.setdefault(identity.channel, []).append(
-                    measurement.rsrp_dbm)
-
-
-def _collect_measurement_stats_columnar(rcolumns: RecordColumns,
-                                        icolumns: IntervalColumns,
-                                        analysis: RunAnalysis) -> None:
-    """Columnar :func:`_collect_measurement_stats`.
-
-    The interval cursor becomes one ``searchsorted`` of the report
-    times into the interval ends (sans the last — the cursor never
-    advances past it); pre-timeline reports get the empty serving set.
-    Cell-set membership is resolved per *unique* cell set, not per
-    report.
+    Each report's serving interval is one ``searchsorted`` of the report
+    times into the interval ends (sans the last, which covers every
+    later report).  Cell-set membership is resolved per *unique* cell
+    set, not per report.
     """
     intervals_present = icolumns.start.size > 0
     empty_serving: frozenset[CellIdentity] = frozenset()

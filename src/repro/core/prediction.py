@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.cells.cell import Rat
 from repro.radio.environment import RadioEnvironment
@@ -181,6 +180,7 @@ def fit_s1e3_model(
 
     Parameters are optimised in log space to enforce positivity, with
     Nelder-Mead (the problem is tiny: 3-5 parameters, tens of points).
+    Every fitted parameter is a plain ``float``.
     """
     if len(feature_sets) != len(observed_probabilities):
         raise ValueError("feature sets and observations must align")
@@ -195,7 +195,7 @@ def fit_s1e3_model(
         n = math.exp(params[2])
         predictor = S1LoopPredictor(k=k, t=t, n=n, include_e12=include_e12)
         if include_e12:
-            predictor.e12_centre_dbm = params[3]
+            predictor.e12_centre_dbm = float(params[3])
             predictor.e12_scale_db = math.exp(params[4])
         return predictor
 
@@ -215,7 +215,61 @@ def fit_s1e3_model(
     initial = list(base_initial)
     if include_e12:
         initial += [-106.0, math.log(4.0)]
-    result = optimize.minimize(loss, np.asarray(initial), method="Nelder-Mead",
-                               options={"maxiter": 4000, "xatol": 1e-4,
-                                        "fatol": 1e-7})
-    return build(result.x)
+    return build(_nelder_mead(loss, initial, maxiter=4000, xatol=1e-4,
+                              fatol=1e-7))
+
+
+def _nelder_mead(func, x0, *, maxiter: int, xatol: float,
+                 fatol: float) -> np.ndarray:
+    """Minimise ``func`` from ``x0`` with the Nelder-Mead simplex.
+
+    The textbook method with the standard coefficients: reflection 1,
+    expansion 2, contraction 1/2, shrink 1/2.  The initial simplex steps
+    each coordinate of ``x0`` by 5% (to 0.00025 for a zero entry).  The
+    search stops once every vertex lies within ``xatol`` of the best one
+    in every coordinate and every vertex value within ``fatol`` of the
+    best value, or after ``maxiter`` iterations.  Returns the best vertex.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    dims = x0.size
+    sim = np.tile(x0, (dims + 1, 1))
+    for k in range(dims):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(vertex) for vertex in sim])
+    order = np.argsort(fsim)
+    sim, fsim = sim[order], fsim[order]
+    for _ in range(1, maxiter):
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol \
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        centroid = np.add.reduce(sim[:-1], 0) / dims
+        worst = sim[-1]
+        reflected = 2 * centroid - worst
+        f_reflected = func(reflected)
+        if f_reflected < fsim[0]:
+            expanded = 3 * centroid - 2 * worst
+            f_expanded = func(expanded)
+            if f_expanded < f_reflected:
+                sim[-1], fsim[-1] = expanded, f_expanded
+            else:
+                sim[-1], fsim[-1] = reflected, f_reflected
+        elif f_reflected < fsim[-2]:
+            sim[-1], fsim[-1] = reflected, f_reflected
+        else:
+            if f_reflected < fsim[-1]:
+                point = 1.5 * centroid - 0.5 * worst       # outside
+                f_point = func(point)
+                shrink = f_point > f_reflected
+            else:
+                point = 0.5 * centroid + 0.5 * worst       # inside
+                f_point = func(point)
+                shrink = f_point >= fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = point, f_point
+            else:
+                for j in range(1, dims + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0]

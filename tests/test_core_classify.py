@@ -2,13 +2,7 @@
 
 from repro.cells.cell import Rat
 from repro.core.cellset import extract_cellset_sequence
-from repro.core.classify import (
-    LoopSubtype,
-    classify_loop,
-    classify_off_transition,
-    off_periods,
-    off_transition_times,
-)
+from repro.core.classify import LoopSubtype
 from repro.traces.records import (
     CellMeasurement,
     MeasurementReportRecord,
@@ -21,6 +15,12 @@ from repro.traces.records import (
     ScgFailureRecord,
 )
 from tests.conftest import cell_id
+from tests.oracles import (
+    classify_loop,
+    classify_off_transition,
+    off_periods,
+    off_transition_times,
+)
 
 P41 = cell_id(393, 521310)
 S25A = cell_id(273, 387410)

@@ -1,9 +1,7 @@
 """Property tests: the columnar data plane ≡ the per-record oracles.
 
-The per-record implementations (``repro.core.metrics``,
-``repro.core.classify``, and the stat collectors in
-``repro.core.pipeline``) stay in the tree as reference oracles; these
-tests drive both sides with random traces — including same-timestamp
+The per-record implementations in ``tests/oracles.py`` are the
+reference; these tests drive both sides with random traces — including same-timestamp
 record bursts, reports before the first interval, and throughput
 samples straddling the timeline — and require *bit-identical* results,
 field by field.
@@ -18,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cells.cell import CellIdentity, Rat
 from repro.core.cellset import extract_cellset_sequence
-from repro.core.classify import LoopSubtype, classify_loop
+from repro.core.classify import LoopSubtype
 from repro.core.columnar import (
     IntervalColumns,
     RecordColumns,
@@ -29,17 +27,10 @@ from repro.core.columnar import (
     scg_measurement_delays_columnar,
 )
 from repro.core.loops import detect_loop, loop_window
-from repro.core.metrics import (
-    RunPerformance,
-    loop_cycles,
-    run_performance,
-    scg_measurement_delays,
-)
+from repro.core.metrics import RunPerformance
 from repro.core.pipeline import (
     RunAnalysis,
-    _collect_measurement_stats,
     _collect_measurement_stats_columnar,
-    _scell_modification_outcomes,
     _scell_modification_outcomes_columnar,
     analyze_trace,
 )
@@ -55,6 +46,14 @@ from repro.traces.records import (
     ScellAddMod,
     ScgFailureRecord,
     ThroughputSampleRecord,
+)
+from tests.oracles import (
+    _collect_measurement_stats,
+    _scell_modification_outcomes,
+    classify_loop,
+    loop_cycles,
+    run_performance,
+    scg_measurement_delays,
 )
 
 identities = st.builds(

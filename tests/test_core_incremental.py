@@ -19,12 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cells.cell import Rat
 from repro.core.cellset import CellSet, CellSetInterval
-from repro.core.incremental import (
-    IncrementalAnalyzer,
-    IncrementalLoopDetector,
-    StreamVerdict,
-)
-from repro.core.loops import LoopKind, detect_loop
+from repro.core.incremental import IncrementalAnalyzer, StreamVerdict
+from repro.core.loops import IncrementalLoopDetector, LoopKind
 from repro.core.pipeline import RunAnalysis, analyze_trace
 from repro.resilience.errors import OutOfOrderRecordError
 from repro.traces.records import (
@@ -32,6 +28,7 @@ from repro.traces.records import (
     RrcSetupCompleteRecord,
 )
 from tests.conftest import cell_id
+from tests.oracles import naive_detection
 from tests.test_core_columnar import traces
 
 IDLE = CellSet()
@@ -92,7 +89,7 @@ class TestBatchEquivalence:
 
 
 class TestDetectorPrefixEquivalence:
-    """The online detector equals batch ``detect_loop`` at EVERY prefix."""
+    """The online detector equals the naive oracle at EVERY prefix."""
 
     @given(st.lists(st.sampled_from(CANDIDATES), max_size=24))
     def test_every_prefix_matches_detect_loop(self, cellsets):
@@ -100,7 +97,7 @@ class TestDetectorPrefixEquivalence:
         detector = IncrementalLoopDetector()
         for length, interval in enumerate(intervals, start=1):
             detector.push(interval.cellset, interval.start_s, interval.end_s)
-            assert detector.detection() == detect_loop(intervals[:length])
+            assert detector.detection() == naive_detection(intervals[:length])
 
     @given(st.lists(st.sampled_from(CANDIDATES), max_size=30),
            st.integers(min_value=4, max_value=12))
@@ -112,7 +109,7 @@ class TestDetectorPrefixEquivalence:
             bounded.push(interval.cellset, interval.start_s, interval.end_s)
         from repro.core.loops import dedup_sequence
         if len(dedup_sequence(intervals)) <= horizon:
-            assert bounded.detection() == detect_loop(intervals)
+            assert bounded.detection() == naive_detection(intervals)
 
     def test_best_flip_after_semi_persistence(self):
         # A X Y X Y A X Y X Y: the (1, 2) winner goes semi-persistent,

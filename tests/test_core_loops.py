@@ -6,6 +6,7 @@ from repro.cells.cell import Rat
 from repro.core.cellset import CellSet, CellSetInterval
 from repro.core.loops import LoopKind, dedup_sequence, detect_loop
 from tests.conftest import cell_id
+from tests.oracles import _naive_detect, naive_detection
 
 IDLE = CellSet()
 ON_A = CellSet(pcell=cell_id(393, 521310))
@@ -248,36 +249,6 @@ class TestPersistenceRegression:
         assert detection.kind is LoopKind.PERSISTENT
 
 
-def _naive_detect(sequence: list[CellSet], min_repetitions: int = 2):
-    """The seed's O(n^3) slice-comparing scan, kept as a test oracle.
-
-    Identical tie-break semantics (earliest start, then shortest
-    period); encodes the *fixed* persistence rule — the repetitions
-    plus a partial-block tail that is a prefix of the block must extend
-    to the end of the deduplicated sequence.
-    """
-    n = len(sequence)
-    for start in range(n):
-        for period in range(2, (n - start) // min_repetitions + 1):
-            block = sequence[start:start + period]
-            if not any(cellset.five_g_on for cellset in block):
-                continue
-            if all(cellset.five_g_on for cellset in block):
-                continue
-            repetitions = 1
-            while sequence[start + repetitions * period:
-                           start + (repetitions + 1) * period] == block:
-                repetitions += 1
-            if repetitions < min_repetitions:
-                continue
-            end = start + repetitions * period
-            tail = 0
-            while end + tail < n and sequence[end + tail] == block[tail]:
-                tail += 1
-            return start, period, repetitions, end + tail == n
-    return None
-
-
 class TestOracleEquivalence:
     @given(st.lists(st.sampled_from([ON_A, ON_B, ON_C, IDLE, OFF_LTE]),
                     max_size=24))
@@ -294,6 +265,17 @@ class TestOracleEquivalence:
                 (start, period, repetitions)
             assert fast.kind is (LoopKind.PERSISTENT if persistent
                                  else LoopKind.SEMI_PERSISTENT)
+
+    @given(st.lists(st.sampled_from([ON_A, ON_B, ON_C, IDLE, OFF_LTE]),
+                    max_size=24),
+           st.integers(min_value=1, max_value=3))
+    def test_matches_naive_oracle_for_any_min_repetitions(
+            self, cellsets, min_repetitions):
+        # min_repetitions=1 makes the whole prefix a candidate block at
+        # every length: periods longer than the matched suffix count.
+        intervals = seq(*cellsets)
+        assert detect_loop(intervals, min_repetitions) == \
+            naive_detection(intervals, min_repetitions)
 
 
 class TestRobustness:

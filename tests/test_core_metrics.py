@@ -5,18 +5,14 @@ from hypothesis import given, strategies as st
 
 from repro.cells.cell import Rat
 from repro.core.cellset import CellSet, CellSetInterval
-from repro.core.metrics import (
-    CycleMetrics,
-    loop_cycles,
-    run_performance,
-    scg_measurement_delays,
-)
+from repro.core.metrics import CycleMetrics
 from repro.traces.records import (
     CellMeasurement,
     MeasurementReportRecord,
     ScgFailureRecord,
 )
 from tests.conftest import cell_id
+from tests.oracles import loop_cycles, run_performance, scg_measurement_delays
 
 ON = CellSet(pcell=cell_id(393, 521310))
 OFF = CellSet()

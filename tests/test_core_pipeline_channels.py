@@ -82,10 +82,8 @@ class TestAnalyzeTrace:
         # Figure 17).
         from repro.core.cellset import CellSet, CellSetInterval
         from repro.core.columnar import IntervalColumns, RecordColumns
-        from repro.core.pipeline import (
-            _collect_measurement_stats,
-            _collect_measurement_stats_columnar,
-        )
+        from repro.core.pipeline import _collect_measurement_stats_columnar
+        from tests.oracles import _collect_measurement_stats
 
         pcell = cell_id(393, 521310)
         trace = SignalingTrace()

@@ -125,6 +125,14 @@ class TestFitting:
         model = fit_s1e3_model(feature_sets, observed, include_e12=True)
         assert model.include_e12
 
+    @pytest.mark.parametrize("include_e12", [False, True])
+    def test_fitted_parameters_are_plain_floats(self, include_e12):
+        feature_sets, observed, _ = self._synthetic_dataset()
+        model = fit_s1e3_model(feature_sets, observed,
+                               include_e12=include_e12)
+        for name in ("k", "t", "n", "e12_centre_dbm", "e12_scale_db"):
+            assert type(getattr(model, name)) is float, name
+
     def test_fit_rejects_mismatched_input(self):
         with pytest.raises(ValueError):
             fit_s1e3_model([[]], [0.1, 0.2])
