@@ -37,8 +37,8 @@ def table2_cells(environment: RadioEnvironment, point: Point,
     rows: list[list[str]] = []
     for identity in cells:
         cell = environment.cell(identity)
-        values = [environment.propagation.rsrp_dbm(cell, point, tick, run_seed)
-                  for tick in range(samples)]
+        values = (environment.propagation.mean_rsrp_dbm(cell, point)
+                  + environment.propagation.fading_series(cell, run_seed, samples))
         median = float(np.median(values))
         sigma = float(np.std(values))
         rows.append([

@@ -21,16 +21,32 @@ from repro.traces.log import SignalingTrace, TraceMetadata
 
 @dataclass
 class RunResult:
-    """One analysed run of the campaign."""
+    """One analysed run of the campaign.
+
+    ``trace_jsonl`` is the trace's canonical serialisation, kept next to
+    ``trace`` so it is built once per run: a pool worker ships only the
+    text when the campaign checkpoints but does not keep traces.
+    """
 
     metadata: TraceMetadata
     analysis: RunAnalysis
     trace: SignalingTrace | None = None
     point: Point | None = None
+    trace_jsonl: str | None = None
 
     @property
     def has_loop(self) -> bool:
         return self.analysis.has_loop
+
+    def trace_text(self) -> str | None:
+        """The trace's JSONL, serialising the trace at most once."""
+        if self.trace_jsonl is None and self.trace is not None:
+            self.trace_jsonl = self.trace.to_jsonl()
+        return self.trace_jsonl
+
+    def drop_trace(self) -> None:
+        self.trace = None
+        self.trace_jsonl = None
 
 
 @dataclass(frozen=True)

@@ -70,18 +70,21 @@ def drive_inventory(deployment: AreaDeployment,
     no new cell (the paper's "until no new 5G/4G cells are observed").
     """
     environment = deployment.environment
+    propagation = environment.propagation
     floor = (detection_floor_dbm if detection_floor_dbm is not None
-             else environment.propagation.noise_floor_dbm)
+             else propagation.noise_floor_dbm)
     inventory = DrivingInventory()
     since_new = 0
     route = lawnmower_route(deployment.area, lane_spacing_m=lane_spacing_m)
+    fading = [propagation.fading_series(cell, run_seed, len(route)).tolist()
+              for cell in environment.cells]
     for tick, point in enumerate(route):
         inventory.points_driven += 1
         new_here = 0
-        for cell in environment.cells:
+        for cell, series in zip(environment.cells, fading):
             if cell.identity in inventory.observed:
                 continue
-            rsrp = environment.propagation.rsrp_dbm(cell, point, tick, run_seed)
+            rsrp = propagation.mean_rsrp_dbm(cell, point) + series[tick]
             if rsrp > floor:
                 inventory.observed.add(cell.identity)
                 new_here += 1

@@ -125,16 +125,21 @@ def run_once(
         trace = simulate_run(deployment.environment, profile.policy, device,
                              point, config)
     check_deadline("simulate")
+    # Serialised at most once per run: the memo digests this text, and a
+    # checkpoint (or a pool worker shipping the run) reuses it.
+    trace_jsonl = trace.to_jsonl() if memo is not None else None
     analysis = None
     if memo is not None:
-        digest = trace_digest(trace.to_jsonl())
+        digest = trace_digest(trace_jsonl)
         analysis = memo.get(digest)
     if analysis is None:
         analysis = analyze_trace(trace)
         if memo is not None:
             memo.put(digest, analysis)
-    return RunResult(metadata=metadata, analysis=analysis,
-                     trace=trace if keep_trace else None, point=point)
+    if not keep_trace:
+        trace = trace_jsonl = None
+    return RunResult(metadata=metadata, analysis=analysis, trace=trace,
+                     point=point, trace_jsonl=trace_jsonl)
 
 
 def loop_probability_at(
@@ -308,6 +313,9 @@ class _WorkerTask:
     # queue spool as well as the pool pipe).
     memo_dir: str | None = None
     memo_identity: str | None = None
+    # Whether the parent keeps the trace object (``keep_traces``); when
+    # it only checkpoints, the worker ships the trace's text alone.
+    ship_trace: bool = True
 
 
 @dataclass
@@ -425,6 +433,9 @@ def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
             outcome = execute_with_retry(attempt, task.policy, key=task.key)
             run_result, quarantined, retries, timed_out = _finish_outcome(
                 outcome, task.key, span, obs.registry)
+    if run_result is not None and not task.ship_trace:
+        run_result.trace_text()
+        run_result.trace = None
     return _WorkerOutcome(
         key=task.key, run_result=run_result, quarantined=quarantined,
         attempts=outcome.attempts, retries=retries,
@@ -782,6 +793,7 @@ class CampaignRunner:
                             device_name=self.config.device_name,
                             duration_s=self.config.duration_s,
                             keep_trace=keep_trace, policy=policy,
+                            ship_trace=self.config.keep_traces,
                             instrument=instrument,
                             run_timeout_s=self.config.run_timeout_s,
                             memo_dir=(str(self.config.memo_dir)
@@ -928,12 +940,9 @@ class CampaignRunner:
             return
         run_result = outcome.run_result
         if checkpoint is not None:
-            checkpoint.record_success(
-                scheduled.key,
-                run_result.trace.to_jsonl()
-                if run_result.trace is not None else None)
+            checkpoint.record_success(scheduled.key, run_result.trace_text())
         if not self.config.keep_traces:
-            run_result.trace = None
+            run_result.drop_trace()
         result.add(run_result)
         obs.events.emit("run.completed", severity="debug",
                         run_key=scheduled.key, attempts=outcome.attempts)
@@ -1034,12 +1043,9 @@ class CampaignRunner:
                 # keep it; record a trace-less success so resume still
                 # knows the run completed (it re-executes deliberately,
                 # keeping CampaignResult counters reconciled).
-                checkpoint.record_success(
-                    scheduled.key,
-                    run_result.trace.to_jsonl()
-                    if run_result.trace is not None else None)
+                checkpoint.record_success(scheduled.key, run_result.trace_text())
             if not self.config.keep_traces:
-                run_result.trace = None
+                run_result.drop_trace()
             result.add(run_result)
             progress.run_completed(scheduled.key)
             return True

@@ -21,7 +21,7 @@ import numpy as np
 from repro.cells.cell import CellIdentity, DeployedCell, Rat
 from repro.radio.environment import RadioEnvironment
 from repro.radio.geometry import Area, Point
-from repro.radio.propagation import PropagationModel
+from repro.radio.propagation import PropagationModel, _seeded
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class AreaDeployment:
 
 def _site_grid(area: Area, spacing_m: float, seed: int) -> list[Point]:
     """A jittered grid of site locations covering the area."""
-    rng = np.random.RandomState(seed)
+    rng = _seeded(seed)
     sites: list[Point] = []
     # Offset rows to approximate a hexagonal layout.
     row = 0
@@ -97,8 +97,7 @@ def _site_grid(area: Area, spacing_m: float, seed: int) -> list[Point]:
 
 def _assign_site_pcis(n_sites: int, seed: int) -> list[int]:
     """Deterministic, collision-free PCIs for each site (shared across channels)."""
-    rng = np.random.RandomState(seed + 1)
-    pcis = rng.permutation(np.arange(1, 1008))[:n_sites]
+    pcis = _seeded(seed + 1).permutation(np.arange(1, 1008))[:n_sites]
     return [int(pci) for pci in pcis]
 
 

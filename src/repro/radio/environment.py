@@ -4,11 +4,19 @@ A :class:`RadioEnvironment` is the single source of radio truth for a
 simulation: given a location, a time tick and a run seed it produces the
 set of :class:`CellObservation` values (RSRP/RSRQ per deployed cell)
 that the UE's measurement machinery then filters and reports.
+
+A simulated run reads its radio through :class:`TickObservations`: one
+tick's RSRP/RSRQ/measurability of every relevant cell as parallel
+arrays over the run's :class:`CellColumns`, which the RRC logic filters
+with boolean masks instead of looping over per-cell objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.cells.cell import CellIdentity, DeployedCell, Rat
 from repro.radio.geometry import Point
@@ -30,6 +38,124 @@ class CellObservation:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.identity.notation}: {self.rsrp_dbm:.1f} dBm / {self.rsrq_db:.1f} dB"
+
+
+class CellColumns:
+    """A run's cells as columns: the static half of :class:`TickObservations`.
+
+    ``cells[i]`` is column ``i``; ``is_nr``, ``is_lte``, ``channel`` and
+    ``pci`` are per-column arrays for building masks.
+    """
+
+    __slots__ = ("cells", "index", "is_nr", "is_lte", "channel", "pci")
+
+    def __init__(self, cells: Sequence[DeployedCell]) -> None:
+        self.cells = tuple(cells)
+        self.index = {cell.identity: column for column, cell in enumerate(self.cells)}
+        self.is_nr = np.array([cell.rat is Rat.NR for cell in self.cells], dtype=bool)
+        self.is_lte = np.array([cell.rat is Rat.LTE for cell in self.cells], dtype=bool)
+        self.channel = np.array([cell.channel for cell in self.cells], dtype=np.int64)
+        self.pci = np.array([cell.pci for cell in self.cells], dtype=np.int64)
+
+
+class TickObservations:
+    """Every radio-relevant cell of a run at one tick, as parallel arrays.
+
+    ``rsrp_dbm``, ``rsrq_db`` and ``measurable`` are indexed by the
+    columns of ``columns``; :meth:`get`, ``in`` and ``len`` read it like
+    the ``{identity: CellObservation}`` mapping it replaces.  Selections
+    take a boolean mask over the columns, return column numbers and keep
+    the column order for ties, so they pick what a loop over the cells
+    in deployment order would.
+    """
+
+    __slots__ = ("columns", "rsrp_dbm", "rsrq_db", "measurable")
+
+    def __init__(self, columns: CellColumns, rsrp_dbm: np.ndarray,
+                 rsrq_db: np.ndarray, measurable: np.ndarray) -> None:
+        self.columns = columns
+        self.rsrp_dbm = rsrp_dbm
+        self.rsrq_db = rsrq_db
+        self.measurable = measurable
+
+    @classmethod
+    def from_observations(cls, observations: Iterable[CellObservation]) -> TickObservations:
+        """A view over given observations, one column each, in the given order."""
+        observations = list(observations)
+        return cls(CellColumns([obs.cell for obs in observations]),
+                   np.array([obs.rsrp_dbm for obs in observations], dtype=float),
+                   np.array([obs.rsrq_db for obs in observations], dtype=float),
+                   np.array([obs.measurable for obs in observations], dtype=bool))
+
+    @property
+    def is_nr(self) -> np.ndarray:
+        return self.columns.is_nr
+
+    @property
+    def is_lte(self) -> np.ndarray:
+        return self.columns.is_lte
+
+    @property
+    def channel(self) -> np.ndarray:
+        return self.columns.channel
+
+    @property
+    def pci(self) -> np.ndarray:
+        return self.columns.pci
+
+    def __len__(self) -> int:
+        return len(self.columns.cells)
+
+    def __contains__(self, identity: object) -> bool:
+        return identity in self.columns.index
+
+    def identity(self, column: int) -> CellIdentity:
+        return self.columns.cells[column].identity
+
+    def observation(self, column: int) -> CellObservation:
+        """Column ``column`` as a :class:`CellObservation`."""
+        return CellObservation(cell=self.columns.cells[column],
+                               rsrp_dbm=float(self.rsrp_dbm[column]),
+                               rsrq_db=float(self.rsrq_db[column]),
+                               measurable=bool(self.measurable[column]))
+
+    def column_of(self, identity: CellIdentity) -> int | None:
+        return self.columns.index.get(identity)
+
+    def get(self, identity: CellIdentity) -> CellObservation | None:
+        column = self.column_of(identity)
+        return None if column is None else self.observation(column)
+
+    def mask_of(self, identities: Iterable[CellIdentity]) -> np.ndarray:
+        """The columns of the given identities (absent ones are ignored)."""
+        mask = np.zeros(len(self), dtype=bool)
+        for identity in identities:
+            column = self.column_of(identity)
+            if column is not None:
+                mask[column] = True
+        return mask
+
+    def identities(self, mask: np.ndarray) -> list[CellIdentity]:
+        """The masked cells' identities, in column order."""
+        return [self.identity(column) for column in mask.nonzero()[0].tolist()]
+
+    def ranked(self, mask: np.ndarray, floor: float = -np.inf,
+               limit: int | None = None) -> list[int]:
+        """Masked columns above ``floor`` dBm, strongest first, at most ``limit``.
+
+        A stable sort by descending RSRP: equal RSRPs keep column order,
+        as ``list.sort(key=rsrp, reverse=True)`` does.
+        """
+        columns = (mask & (self.rsrp_dbm > floor)).nonzero()[0]
+        order = columns[np.argsort(-self.rsrp_dbm[columns], kind="stable")]
+        return order[:limit].tolist()
+
+    def strongest(self, mask: np.ndarray) -> int | None:
+        """The masked column with the highest RSRP; the first one on a tie."""
+        columns = mask.nonzero()[0]
+        if not len(columns):
+            return None
+        return int(columns[np.argmax(self.rsrp_dbm[columns])])
 
 
 class RadioEnvironment:

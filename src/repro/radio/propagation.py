@@ -14,18 +14,24 @@ RSRP at a location is computed as::
   similar RSRP, distant locations are independent.
 * Fast fading is a small zero-mean temporal AR(1) process regenerated per
   (cell, run) so repeated runs at one location differ slightly, which is
-  what makes semi-persistent loops possible (F1).
+  what makes semi-persistent loops possible (F1).  A run draws each
+  cell's whole series at once (:meth:`PropagationModel.fading_series`).
 
 Everything is deterministic given the environment seed, the cell
 identity and the sample time, so the full measurement campaign is
-reproducible bit-for-bit.
+reproducible bit-for-bit.  Every draw comes from :func:`_seeded`: one
+generator per thread, re-seeded per use, whose draws equal those of a
+``RandomState`` freshly built from the same seed, without paying for
+constructing one per draw.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,10 +61,35 @@ def log_distance_path_loss_db(
     return reference_loss + 10.0 * exponent * math.log10(distance / reference_distance_m)
 
 
+#: Tick-to-tick correlation of the AR(1) fast fading.
+FADING_RHO = 0.85
+
+_THREAD = threading.local()
+
+
 def _stable_seed(*parts: object) -> int:
     """Deterministic 32-bit seed from arbitrary parts (stable across processes)."""
     text = "|".join(str(part) for part in parts)
     return zlib.crc32(text.encode("utf-8"))
+
+
+def _seeded(seed: int) -> np.random.RandomState:
+    """This thread's generator, re-seeded with ``seed``.
+
+    Its draws equal those of a ``RandomState`` freshly built from
+    ``seed`` (seeding also drops a cached gauss value), but re-seeding
+    costs ~3 µs where construction costs ~200 µs.  Take the draws
+    before the next call on the same thread.
+    """
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.RandomState()
+    rng.seed(seed)
+    return rng
+
+
+def _cell_key(cell: DeployedCell) -> str:
+    return f"{cell.identity.rat.value}:{cell.identity.notation}"
 
 
 class ShadowingField:
@@ -87,7 +118,7 @@ class ShadowingField:
         if cached is not None:
             return cached
         node_seed = _stable_seed(self._seed, self._cell_key, ix, iy)
-        value = float(np.random.RandomState(node_seed).normal(0.0, self.sigma_db))
+        value = float(_seeded(node_seed).normal(0.0, self.sigma_db))
         self._node_cache[(ix, iy)] = value
         return value
 
@@ -104,27 +135,6 @@ class ShadowingField:
         top = v00 * (1 - fx) + v10 * fx
         bottom = v01 * (1 - fx) + v11 * fx
         return top * (1 - fy) + bottom * fy
-
-
-class _FadingProcess:
-    """Temporal AR(1) fading for one (cell, run) pair, sampled at integer ticks."""
-
-    def __init__(self, seed: int, sigma_db: float = 2.0, rho: float = 0.85) -> None:
-        self._rng = np.random.RandomState(seed)
-        self._sigma = sigma_db
-        self._rho = rho
-        self._values: list[float] = []
-
-    def value_db(self, tick: int) -> float:
-        if tick < 0:
-            raise ValueError("tick must be non-negative")
-        while len(self._values) <= tick:
-            if not self._values:
-                self._values.append(float(self._rng.normal(0.0, self._sigma)))
-            else:
-                innovation = self._rng.normal(0.0, self._sigma * math.sqrt(1 - self._rho ** 2))
-                self._values.append(self._rho * self._values[-1] + float(innovation))
-        return self._values[tick]
 
 
 @dataclass
@@ -149,25 +159,15 @@ class PropagationModel:
 
     def __post_init__(self) -> None:
         self._shadowing: dict[str, ShadowingField] = {}
-        self._fading: dict[tuple[str, int], _FadingProcess] = {}
 
     def _shadowing_for(self, cell: DeployedCell) -> ShadowingField:
-        key = f"{cell.identity.rat.value}:{cell.identity.notation}"
+        key = _cell_key(cell)
         field = self._shadowing.get(key)
         if field is None:
             field = ShadowingField(self.seed, key, self.shadowing_sigma_db,
                                    self.shadowing_correlation_m)
             self._shadowing[key] = field
         return field
-
-    def _fading_for(self, cell: DeployedCell, run_seed: int) -> _FadingProcess:
-        key = (f"{cell.identity.rat.value}:{cell.identity.notation}", run_seed)
-        process = self._fading.get(key)
-        if process is None:
-            fading_seed = _stable_seed(self.seed, key[0], run_seed, "fading")
-            process = _FadingProcess(fading_seed, self.fading_sigma_db)
-            self._fading[key] = process
-        return process
 
     def _antenna_gain_db(self, cell: DeployedCell, point: Point) -> float:
         """Sector antenna gain: 0 dB at boresight, floored at -18 dB off-axis."""
@@ -189,9 +189,33 @@ class PropagationModel:
         gain = self._antenna_gain_db(cell, point)
         return cell.tx_power_dbm - loss - shadowing + gain
 
+    def fading_series(self, cell: DeployedCell, run_seed: int,
+                      ticks: int) -> np.ndarray:
+        """The AR(1) fast-fading term of one cell at ticks ``0..ticks-1`` of one run.
+
+        ``v[0] ~ N(0, sigma)`` and ``v[t] = rho * v[t-1] + e[t]`` with
+        ``e[t] ~ N(0, sigma * sqrt(1 - rho**2))``.  The innovations are
+        drawn as one array and the recurrence runs over them in scalar
+        float arithmetic, so every value equals a tick-by-tick draw, and
+        a shorter series is a prefix of a longer one.
+        """
+        rng = _seeded(_stable_seed(self.seed, _cell_key(cell), run_seed, "fading"))
+        if ticks <= 0:
+            return np.empty(0)
+        first = float(rng.normal(0.0, self.fading_sigma_db))
+        innovations = rng.normal(
+            0.0, self.fading_sigma_db * math.sqrt(1 - FADING_RHO ** 2), size=ticks - 1)
+        return np.fromiter(
+            accumulate(innovations.tolist(),
+                       lambda value, innovation: FADING_RHO * value + innovation,
+                       initial=first),
+            dtype=float, count=ticks)
+
     def fading_db(self, cell: DeployedCell, run_seed: int, tick: int) -> float:
-        """The AR(1) fast-fading term of one cell at one tick of one run."""
-        return self._fading_for(cell, run_seed).value_db(tick)
+        """The fading term at one tick (a one-tick read of :meth:`fading_series`)."""
+        if tick < 0:
+            raise ValueError("tick must be non-negative")
+        return float(self.fading_series(cell, run_seed, tick + 1)[tick])
 
     def fresh_fading_db(self, cell: DeployedCell, run_seed: int, tick: int,
                         label: str = "exec") -> float:
@@ -202,29 +226,34 @@ class PropagationModel:
         triggered it; this returns a fresh draw uncorrelated with the
         tick's reported value, deterministically from the label.
         """
-        cell_key = f"{cell.identity.rat.value}:{cell.identity.notation}"
-        seed = _stable_seed(self.seed, cell_key, run_seed, tick, label)
-        return float(np.random.RandomState(seed).normal(0.0, self.fading_sigma_db))
+        seed = _stable_seed(self.seed, _cell_key(cell), run_seed, tick, label)
+        return float(_seeded(seed).normal(0.0, self.fading_sigma_db))
 
     def rsrp_dbm(self, cell: DeployedCell, point: Point, tick: int, run_seed: int) -> float:
         """Instantaneous RSRP at an integer tick (1 Hz) of one run."""
-        fading = self._fading_for(cell, run_seed).value_db(tick)
-        return self.mean_rsrp_dbm(cell, point) + fading
+        return self.mean_rsrp_dbm(cell, point) + self.fading_db(cell, run_seed, tick)
 
-    def rsrq_db(self, rsrp_dbm: float, interference_margin_db: float = 0.0) -> float:
+    def rsrq_db(self, rsrp_dbm, interference_margin_db=0.0):
         """Map RSRP to an RSRQ value.
 
         RSRQ in a loaded network degrades roughly linearly as RSRP
         approaches the noise floor; we use a piecewise-linear map
         calibrated to the paper's reported pairs (RSRP -82 / RSRQ -10.5;
         RSRP -108.5 / RSRQ -25.5 in Figure 28), clamped to [-30, -5] dB.
+
+        Scalars give a float; arrays (broadcast against the margin)
+        give an array of the same values element by element.
         """
         anchor_good = (-82.0, -10.5)
         anchor_poor = (-108.5, -25.5)
         slope = (anchor_poor[1] - anchor_good[1]) / (anchor_poor[0] - anchor_good[0])
         rsrq = anchor_good[1] + slope * (rsrp_dbm - anchor_good[0]) - interference_margin_db
-        return float(min(max(rsrq, -30.0), -5.0))
+        clamped = np.minimum(np.maximum(rsrq, -30.0), -5.0)
+        return float(clamped) if np.ndim(clamped) == 0 else clamped
 
-    def is_measurable(self, rsrp_dbm: float) -> bool:
-        """Whether the UE can measure a cell at all (above the noise floor)."""
+    def is_measurable(self, rsrp_dbm):
+        """Whether the UE can measure a cell at all (above the noise floor).
+
+        Element-wise for arrays, like :meth:`rsrq_db`.
+        """
         return rsrp_dbm > self.noise_floor_dbm

@@ -11,7 +11,8 @@ for both deployment modes:
   handover selection with per-channel offsets, the "5G-disabled channel"
   redirect, B1-driven SCG addition and A3-driven SCG change.
 
-All methods are pure decisions over the current tick's observations;
+All methods are pure decisions over the current tick's observations (a
+:class:`~repro.radio.environment.TickObservations`, filtered with masks);
 executing the decision (and failing to execute it, which is where loops
 come from) is the session's job.
 """
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cells.cell import CellIdentity, Rat
-from repro.radio.environment import CellObservation, RadioEnvironment
+from repro.radio.environment import CellColumns, RadioEnvironment, TickObservations
 from repro.radio.geometry import Point
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.policies import OperatorPolicy
@@ -43,14 +46,6 @@ class HandoverDecision:
     target: CellIdentity
     keep_scg: bool
     blind: bool  # True for the policy redirect (target never measured)
-
-
-def _strongest(observations: list[CellObservation]) -> CellObservation | None:
-    best: CellObservation | None = None
-    for observation in observations:
-        if best is None or observation.rsrp_dbm > best.rsrp_dbm:
-            best = observation
-    return best
 
 
 class SaNetworkLogic:
@@ -102,7 +97,7 @@ class SaNetworkLogic:
     def scell_modification(
         self,
         serving_scells: dict[int, CellIdentity],
-        observations: dict[CellIdentity, CellObservation],
+        observations: TickObservations,
     ) -> ScellModification | None:
         """A3-driven intra-channel SCell replacement (at most one per tick).
 
@@ -116,21 +111,16 @@ class SaNetworkLogic:
             serving_obs = observations.get(serving)
             if serving_obs is None or not serving_obs.measurable:
                 continue
-            candidates = [
-                obs for identity, obs in observations.items()
-                if identity.channel == serving.channel
-                and identity.rat is Rat.NR
-                and identity != serving
-                and identity not in serving_scells.values()
-                and obs.measurable
-            ]
-            best = _strongest(candidates)
+            best = observations.strongest(
+                observations.is_nr & (observations.channel == serving.channel)
+                & observations.measurable
+                & ~observations.mask_of(serving_scells.values()))
             if best is None:
                 continue
-            if best.rsrp_dbm > serving_obs.rsrp_dbm + offset:
+            if observations.rsrp_dbm[best] > serving_obs.rsrp_dbm + offset:
                 return ScellModification(release_index=index,
                                          release_identity=serving,
-                                         add_identity=best.identity)
+                                         add_identity=observations.identity(best))
         return None
 
 
@@ -140,6 +130,16 @@ class NsaNetworkLogic:
     def __init__(self, environment: RadioEnvironment, policy: OperatorPolicy) -> None:
         self._environment = environment
         self._policy = policy
+        self._a3_offsets: tuple[CellColumns, np.ndarray] | None = None
+
+    def _a3_offsets_db(self, columns: CellColumns) -> np.ndarray:
+        """Per-column LTE handover A3 offset (a run's columns never change)."""
+        if self._a3_offsets is None or self._a3_offsets[0] is not columns:
+            offsets = np.array([
+                self._policy.channel_policy(cell.channel, Rat.LTE).handover_a3_offset_db
+                for cell in columns.cells], dtype=float)
+            self._a3_offsets = (columns, offsets)
+        return self._a3_offsets[1]
 
     def redirect_target(self, pcell: CellIdentity) -> CellIdentity | None:
         """The blind redirect twin for a "5G-report" redirect, if configured.
@@ -166,7 +166,7 @@ class NsaNetworkLogic:
     def handover_decision(
         self,
         pcell: CellIdentity,
-        observations: dict[CellIdentity, CellObservation],
+        observations: TickObservations,
         saw_5g_report: bool,
         scg_active: bool,
     ) -> HandoverDecision | None:
@@ -187,21 +187,14 @@ class NsaNetworkLogic:
         serving_obs = observations.get(pcell)
         if serving_obs is None:
             return None
-        best_target: CellIdentity | None = None
-        best_margin = 0.0
-        for identity, observation in observations.items():
-            if identity == pcell or identity.rat is not Rat.LTE:
-                continue
-            if not observation.measurable:
-                continue
-            offset = self._policy.channel_policy(identity.channel,
-                                                 Rat.LTE).handover_a3_offset_db
-            margin = observation.rsrq_db - (serving_obs.rsrq_db + offset)
-            if margin > best_margin:
-                best_margin = margin
-                best_target = identity
-        if best_target is None:
+        # The first largest positive margin, as a scan with ">" keeps.
+        margins = observations.rsrq_db - (
+            serving_obs.rsrq_db + self._a3_offsets_db(observations.columns))
+        columns = (observations.is_lte & observations.measurable & (margins > 0.0)
+                   & ~observations.mask_of((pcell,))).nonzero()[0]
+        if not len(columns):
             return None
+        best_target = observations.identity(int(columns[np.argmax(margins[columns])]))
         target_policy = self._policy.channel_policy(best_target.channel, Rat.LTE)
         keep_scg = (scg_active and target_policy.allows_scg
                     and not target_policy.drops_scg_on_entry)
@@ -210,7 +203,7 @@ class NsaNetworkLogic:
     def scg_addition(
         self,
         pcell: CellIdentity,
-        nr_observations: dict[CellIdentity, CellObservation],
+        observations: TickObservations,
     ) -> tuple[CellIdentity, list[CellIdentity]] | None:
         """B1-driven SCG addition: strongest qualifying NR cell as PSCell.
 
@@ -220,35 +213,31 @@ class NsaNetworkLogic:
         """
         if not self._policy.scg_allowed_on(pcell.channel):
             return None
-        qualifying = [obs for obs in nr_observations.values()
-                      if obs.measurable
-                      and obs.rsrp_dbm > self._policy.nsa_b1_threshold_dbm]
-        best = _strongest(qualifying)
+        nr = observations.is_nr & observations.measurable
+        best = observations.strongest(
+            nr & (observations.rsrp_dbm > self._policy.nsa_b1_threshold_dbm))
         if best is None:
             return None
-        pscell = best.identity
-        partners = [identity for identity in nr_observations
-                    if identity.pci == pscell.pci
-                    and identity.channel != pscell.channel
-                    and nr_observations[identity].measurable]
-        partners.sort(key=lambda identity: nr_observations[identity].rsrp_dbm,
-                      reverse=True)
-        return pscell, partners[:1]
+        pscell = observations.identity(best)
+        partners = observations.ranked(nr & (observations.pci == pscell.pci)
+                                       & (observations.channel != pscell.channel),
+                                       limit=1)
+        return pscell, [observations.identity(partner) for partner in partners]
 
     def scg_change(
         self,
         pscell: CellIdentity,
-        nr_observations: dict[CellIdentity, CellObservation],
+        observations: TickObservations,
     ) -> CellIdentity | None:
         """A3-driven PSCell change (the N2E2 trigger when it then fails)."""
-        serving_obs = nr_observations.get(pscell)
+        serving_obs = observations.get(pscell)
         if serving_obs is None or not serving_obs.measurable:
             return None
-        candidates = [obs for identity, obs in nr_observations.items()
-                      if identity != pscell and obs.measurable]
-        best = _strongest(candidates)
+        best = observations.strongest(observations.is_nr & observations.measurable
+                                      & ~observations.mask_of((pscell,)))
         if best is None:
             return None
-        if best.rsrp_dbm > serving_obs.rsrp_dbm + self._policy.nsa_scg_a3_offset_db:
-            return best.identity
+        offset = self._policy.nsa_scg_a3_offset_db
+        if observations.rsrp_dbm[best] > serving_obs.rsrp_dbm + offset:
+            return observations.identity(best)
         return None

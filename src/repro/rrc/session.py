@@ -22,7 +22,12 @@ from typing import Callable
 import numpy as np
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.radio.environment import CellObservation, RadioEnvironment
+from repro.radio.environment import (
+    CellColumns,
+    CellObservation,
+    RadioEnvironment,
+    TickObservations,
+)
 from repro.radio.geometry import Point
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.network import NsaNetworkLogic, SaNetworkLogic
@@ -76,63 +81,75 @@ class RunConfig:
 
 
 class RadioSampler:
-    """Per-run radio sampling with a stationary-location mean cache."""
+    """A run's radio, computed once as ticks x cells arrays.
+
+    At construction every deployed cell gets its mean RSRP (once for a
+    stationary run, per tick from ``point_provider`` for a moving one)
+    plus its whole fading series, giving RSRP, RSRQ and measurability
+    arrays for the run.  Cells whose stationary mean lies more than
+    ``cutoff_margin_db`` below the noise floor are not radio-relevant:
+    :meth:`observe` leaves them out, :meth:`observe_identity` still
+    reads them.  A moving run keeps every cell.
+    """
 
     def __init__(self, environment: RadioEnvironment, point: Point,
                  config: RunConfig, cutoff_margin_db: float = 8.0) -> None:
+        propagation = environment.propagation
+        cells = environment.cells
+        ticks = config.duration_s
         self._environment = environment
-        self._point = point
         self._config = config
-        self._moving = config.point_provider is not None
-        self._means: dict[CellIdentity, float] = {}
-        self._relevant = environment.cells
-        if not self._moving:
-            floor = environment.propagation.noise_floor_dbm - cutoff_margin_db
-            relevant = []
-            for cell in environment.cells:
-                mean = environment.propagation.mean_rsrp_dbm(cell, point)
-                self._means[cell.identity] = mean
-                if mean > floor:
-                    relevant.append(cell)
-            self._relevant = relevant
+        self._all = CellColumns(cells)
+        if config.point_provider is None:
+            means = np.array([propagation.mean_rsrp_dbm(cell, point) for cell in cells],
+                             dtype=float)
+            floor = propagation.noise_floor_dbm - cutoff_margin_db
+            relevant = np.flatnonzero(means > floor)
+        else:
+            points = [config.point_provider(tick) for tick in range(ticks)]
+            means = np.array([[propagation.mean_rsrp_dbm(cell, at) for cell in cells]
+                              for at in points], dtype=float).reshape(ticks, len(cells))
+            relevant = np.arange(len(cells))
+        self._means = np.broadcast_to(means, (ticks, len(cells)))
+        fading = np.empty((ticks, len(cells)))
+        for column, cell in enumerate(cells):
+            fading[:, column] = propagation.fading_series(cell, config.run_seed, ticks)
+        margins = np.array([cell.interference_margin_db for cell in cells], dtype=float)
+        self._rsrp = means + fading
+        self._rsrq = propagation.rsrq_db(self._rsrp, margins)
+        self._measurable = propagation.is_measurable(self._rsrp)
+        self.columns = CellColumns([cells[column] for column in relevant])
+        self._relevant_rsrp = self._rsrp[:, relevant]
+        self._relevant_rsrq = self._rsrq[:, relevant]
+        self._relevant_measurable = self._measurable[:, relevant]
 
-    def point_at(self, tick: int) -> Point:
-        if self._config.point_provider is not None:
-            return self._config.point_provider(tick)
-        return self._point
-
-    def _mean_rsrp(self, identity: CellIdentity, tick: int) -> float:
-        cell = self._environment.cell(identity)
-        if self._moving:
-            return self._environment.propagation.mean_rsrp_dbm(cell, self.point_at(tick))
-        mean = self._means.get(identity)
-        if mean is None:
-            mean = self._environment.propagation.mean_rsrp_dbm(cell, self._point)
-            self._means[identity] = mean
-        return mean
+    def _column(self, identity: CellIdentity) -> int:
+        column = self._all.index.get(identity)
+        if column is None:
+            raise KeyError(f"cell {identity.notation} not deployed")
+        return column
 
     def observe_identity(self, identity: CellIdentity, tick: int) -> CellObservation:
         """Observation of one specific cell (even if very weak)."""
-        cell = self._environment.cell(identity)
-        propagation = self._environment.propagation
-        rsrp = self._mean_rsrp(identity, tick) + propagation.fading_db(
-            cell, self._config.run_seed, tick)
-        rsrq = propagation.rsrq_db(rsrp, cell.interference_margin_db)
-        return CellObservation(cell=cell, rsrp_dbm=rsrp, rsrq_db=rsrq,
-                               measurable=propagation.is_measurable(rsrp))
+        column = self._column(identity)
+        return CellObservation(cell=self._all.cells[column],
+                               rsrp_dbm=float(self._rsrp[tick, column]),
+                               rsrq_db=float(self._rsrq[tick, column]),
+                               measurable=bool(self._measurable[tick, column]))
 
-    def observe(self, tick: int) -> dict[CellIdentity, CellObservation]:
+    def observe(self, tick: int) -> TickObservations:
         """Observations of every radio-relevant cell this tick."""
-        return {cell.identity: self.observe_identity(cell.identity, tick)
-                for cell in self._relevant}
+        return TickObservations(self.columns, self._relevant_rsrp[tick],
+                                self._relevant_rsrq[tick],
+                                self._relevant_measurable[tick])
 
     def fresh_rsrp(self, identity: CellIdentity, tick: int,
                    label: str = "exec") -> float:
         """Execution-time re-sample of one cell (independent fading draw)."""
-        cell = self._environment.cell(identity)
+        column = self._column(identity)
         fading = self._environment.propagation.fresh_fading_db(
-            cell, self._config.run_seed, tick, label)
-        return self._mean_rsrp(identity, tick) + fading
+            self._all.cells[column], self._config.run_seed, tick, label)
+        return float(self._means[tick, column]) + fading
 
 
 class _SessionBase:
@@ -164,23 +181,24 @@ class _SessionBase:
 
     def _measurements_for_report(
         self,
-        observations: dict[CellIdentity, CellObservation],
+        observations: TickObservations,
         serving: list[CellIdentity],
-        extra_candidates: list[CellObservation],
+        extra_candidates: list[int],
     ) -> tuple[CellMeasurement, ...]:
+        """Serving cells first, then the candidate columns not serving."""
+        rsrp, rsrq = observations.rsrp_dbm, observations.rsrq_db
         measurements: list[CellMeasurement] = []
-        for identity in serving:
-            observation = observations.get(identity)
-            if observation is None or not observation.measurable:
+        serving_columns = [observations.column_of(identity) for identity in serving]
+        for identity, column in zip(serving, serving_columns):
+            if column is None or not observations.measurable[column]:
                 continue  # an unmeasurable serving cell never appears (S1E1)
-            measurements.append(CellMeasurement(identity, observation.rsrp_dbm,
-                                                observation.rsrq_db, is_serving=True))
-        for observation in extra_candidates:
-            if observation.identity in serving:
+            measurements.append(CellMeasurement(identity, float(rsrp[column]),
+                                                float(rsrq[column]), is_serving=True))
+        for column in extra_candidates:
+            if column in serving_columns:
                 continue
-            measurements.append(CellMeasurement(observation.identity,
-                                                observation.rsrp_dbm,
-                                                observation.rsrq_db))
+            measurements.append(CellMeasurement(observations.identity(column),
+                                                float(rsrp[column]), float(rsrq[column])))
         return tuple(measurements)
 
     def _emit_throughput(self, t: float, mbps: float) -> None:
@@ -195,6 +213,9 @@ class SaSession(_SessionBase):
                  device: DeviceCapabilities, point: Point, config: RunConfig) -> None:
         super().__init__(environment, policy, device, point, config)
         self.network = SaNetworkLogic(environment, policy)
+        columns = self.sampler.columns
+        self._report_mask = columns.is_nr & np.isin(
+            columns.channel, policy.sa_pcell_channels + policy.sa_scell_channels)
         self._pending_blind_add_s: float | None = None
         self._scell_mod_cooldown_until_s = 0.0
         self._mod_streak_key: tuple | None = None
@@ -284,24 +305,17 @@ class SaSession(_SessionBase):
         self._emit(RrcReconfigurationCompleteRecord(time_s=t + 0.35,
                                                     pcell=self.ue.pcell))
 
-    def _emit_periodic_report(self, t: float,
-                              observations: dict[CellIdentity, CellObservation]) -> None:
-        candidate_channels = set(self.policy.sa_pcell_channels)
-        candidate_channels.update(self.policy.sa_scell_channels)
-        candidates = [obs for identity, obs in observations.items()
-                      if identity.rat is Rat.NR
-                      and identity.channel in candidate_channels
-                      and obs.measurable
-                      and obs.rsrp_dbm > NEIGHBOUR_REPORT_FLOOR_DBM]
-        candidates.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
+    def _emit_periodic_report(self, t: float, observations: TickObservations) -> None:
+        candidates = observations.ranked(
+            self._report_mask & observations.measurable,
+            NEIGHBOUR_REPORT_FLOOR_DBM, limit=8)
         measurements = self._measurements_for_report(
-            observations, self.ue.serving_identities(), candidates[:8])
+            observations, self.ue.serving_identities(), candidates)
         if measurements:
             self._emit(MeasurementReportRecord(time_s=t + 0.1, event="periodic",
                                                measurements=measurements))
 
-    def _fragile_scell_check(self, t: float,
-                             observations: dict[CellIdentity, CellObservation]) -> bool:
+    def _fragile_scell_check(self, t: float, observations: TickObservations) -> bool:
         """OnePlus-12R-style modem exceptions on fragile SCells (S1E1/S1E2).
 
         Returns True if the whole MCG was released.
@@ -328,7 +342,7 @@ class SaSession(_SessionBase):
         return False
 
     def _scell_modification_step(self, t: float, tick: int,
-                                 observations: dict[CellIdentity, CellObservation]) -> bool:
+                                 observations: TickObservations) -> bool:
         """Network-commanded SCell modification; True if it failed (S1E3)."""
         if t < self._scell_mod_cooldown_until_s:
             return False
@@ -469,21 +483,17 @@ class NsaSession(_SessionBase):
         self._b1_active = True
         self._b1_config_pending_s = None
 
-    def _emit_periodic_report(self, t: float,
-                              observations: dict[CellIdentity, CellObservation]) -> bool:
-        lte_neighbours = [obs for identity, obs in observations.items()
-                          if identity.rat is Rat.LTE and obs.measurable
-                          and obs.rsrp_dbm > NEIGHBOUR_REPORT_FLOOR_DBM]
-        lte_neighbours.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
-        candidates = lte_neighbours[:6]
+    def _emit_periodic_report(self, t: float, observations: TickObservations) -> bool:
+        candidates = observations.ranked(
+            observations.is_lte & observations.measurable,
+            NEIGHBOUR_REPORT_FLOOR_DBM, limit=6)
         saw_5g = False
         if self._b1_active and self._nsa_capable:
-            nr_candidates = [obs for identity, obs in observations.items()
-                             if identity.rat is Rat.NR and obs.measurable
-                             and obs.rsrp_dbm > self.policy.nsa_b1_threshold_dbm]
-            nr_candidates.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
+            nr_candidates = observations.ranked(
+                observations.is_nr & observations.measurable,
+                self.policy.nsa_b1_threshold_dbm, limit=4)
             saw_5g = bool(nr_candidates)
-            candidates = candidates + nr_candidates[:4]
+            candidates = candidates + nr_candidates
         measurements = self._measurements_for_report(
             observations, self.ue.serving_identities(), candidates)
         if measurements:
@@ -493,7 +503,7 @@ class NsaSession(_SessionBase):
         return saw_5g
 
     def _pcell_rlf_check(self, t: float, tick: int, pcell_obs: CellObservation,
-                         observations: dict[CellIdentity, CellObservation]) -> bool:
+                         observations: TickObservations) -> bool:
         weak_ticks = self.ue.note_pcell_strength(pcell_obs.rsrp_dbm,
                                                  self.policy.rlf_rsrp_threshold_dbm)
         if weak_ticks < self.policy.rlf_time_to_trigger_s:
@@ -504,28 +514,26 @@ class NsaSession(_SessionBase):
         self._reestablish(t, tick, observations)
         return True
 
-    def _reestablish(self, t: float, tick: int,
-                     observations: dict[CellIdentity, CellObservation]) -> None:
+    def _reestablish(self, t: float, tick: int, observations: TickObservations) -> None:
         """Reestablish the 4G connection on the strongest cell, or go IDLE."""
-        candidates = [obs for identity, obs in observations.items()
-                      if identity.rat is Rat.LTE and obs.measurable
-                      and obs.rsrp_dbm > self.policy.rlf_rsrp_threshold_dbm]
-        if not candidates:
+        best = observations.strongest(
+            observations.is_lte & observations.measurable
+            & (observations.rsrp_dbm > self.policy.rlf_rsrp_threshold_dbm))
+        if best is None:
             self._emit(RrcReleaseRecord(time_s=t + 0.5))
             self.ue.release_all(idle_until_s=t + self._idle_duration_s())
             self._b1_active = False
             self._b1_config_pending_s = None
             return
-        best = max(candidates, key=lambda obs: obs.rsrp_dbm)
-        self._emit(RrcReestablishmentCompleteRecord(time_s=t + 0.6, cell=best.identity))
-        self.ue.establish(best.identity)
+        target = observations.identity(best)
+        self._emit(RrcReestablishmentCompleteRecord(time_s=t + 0.6, cell=target))
+        self.ue.establish(target)
         self._b1_active = False
         if self._nsa_capable:
             self._b1_config_pending_s = t + 1.5
         self._handover_cooldown_until_s = t + HANDOVER_COOLDOWN_S
 
-    def _handover_step(self, t: float, tick: int,
-                       observations: dict[CellIdentity, CellObservation],
+    def _handover_step(self, t: float, tick: int, observations: TickObservations,
                        saw_5g: bool) -> bool:
         if t < self._handover_cooldown_until_s:
             return False
@@ -566,16 +574,13 @@ class NsaSession(_SessionBase):
         self._handover_cooldown_until_s = t + HANDOVER_COOLDOWN_S
         return True
 
-    def _scg_step(self, t: float, tick: int,
-                  observations: dict[CellIdentity, CellObservation]) -> None:
+    def _scg_step(self, t: float, tick: int, observations: TickObservations) -> None:
         if not self._nsa_capable:
             return
-        nr_observations = {identity: obs for identity, obs in observations.items()
-                           if identity.rat is Rat.NR}
         if self.ue.scg_pscell is None:
             if not self._b1_active:
                 return
-            addition = self.network.scg_addition(self.ue.pcell, nr_observations)
+            addition = self.network.scg_addition(self.ue.pcell, observations)
             if addition is None:
                 return
             pscell, partners = addition
@@ -583,7 +588,7 @@ class NsaSession(_SessionBase):
             return
 
         pscell = self.ue.scg_pscell
-        pscell_obs = nr_observations.get(pscell)
+        pscell_obs = observations.get(pscell)
         pscell_rsrp = (pscell_obs.rsrp_dbm if pscell_obs is not None
                        else self.sampler.observe_identity(pscell, tick).rsrp_dbm)
 
@@ -601,11 +606,12 @@ class NsaSession(_SessionBase):
 
         if t < self._scg_change_cooldown_until_s:
             return
-        change = self.network.scg_change(pscell, nr_observations)
+        change = self.network.scg_change(pscell, observations)
         if change is not None:
-            partners = [identity for identity in nr_observations
-                        if identity.pci == change.pci and identity.channel != change.channel
-                        and nr_observations[identity].measurable][:1]
+            partners = observations.identities(
+                observations.is_nr & (observations.pci == change.pci)
+                & (observations.channel != change.channel)
+                & observations.measurable)[:1]
             self._execute_scg_setup(t, tick, change, partners, is_change=True)
 
     def _execute_scg_setup(self, t: float, tick: int, pscell: CellIdentity,

@@ -1,9 +1,10 @@
 """Tests for the radio environment (observations over deployed cells)."""
 
+import numpy as np
 import pytest
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.radio.environment import RadioEnvironment
+from repro.radio.environment import CellObservation, RadioEnvironment, TickObservations
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from tests.conftest import lte_cell, nr_cell
@@ -98,3 +99,81 @@ class TestObservation:
     def test_observation_str(self, small_environment, centre_point):
         observation = small_environment.observe(centre_point, 0, 1)[0]
         assert "@" in str(observation)
+
+
+def _tied_view(rsrps):
+    """A view over NR cells 0..n-1 with the given RSRPs (ties included)."""
+    observations = [CellObservation(cell=nr_cell(pci), rsrp_dbm=rsrp,
+                                    rsrq_db=-10.0, measurable=True)
+                    for pci, rsrp in enumerate(rsrps)]
+    return TickObservations.from_observations(observations), observations
+
+
+def _first_strongest(observations):
+    """The scan the RRC logic used: first observation with the highest RSRP."""
+    best = None
+    for observation in observations:
+        if best is None or observation.rsrp_dbm > best.rsrp_dbm:
+            best = observation
+    return best
+
+
+TIED = [-90.0, -85.0, -90.0, -85.0, -100.0, -85.0, -90.0]
+
+
+class TestTickObservations:
+    def test_mapping_reads(self, small_environment):
+        cells = small_environment.cells
+        view = TickObservations.from_observations(
+            CellObservation(cell=cell, rsrp_dbm=-80.0 - index, rsrq_db=-11.0,
+                            measurable=index != 1)
+            for index, cell in enumerate(cells))
+        assert len(view) == len(cells)
+        assert cells[2].identity in view
+        assert CellIdentity(999, 387410, Rat.NR) not in view
+        assert view.get(CellIdentity(999, 387410, Rat.NR)) is None
+        observation = view.get(cells[1].identity)
+        assert observation == CellObservation(cell=cells[1], rsrp_dbm=-81.0,
+                                              rsrq_db=-11.0, measurable=False)
+        assert type(observation.rsrp_dbm) is float
+        assert view.is_lte.tolist() == [cell.rat is Rat.LTE for cell in cells]
+        assert view.channel.tolist() == [cell.channel for cell in cells]
+
+    @pytest.mark.parametrize("limit", [None, 1, 2, 4, 10])
+    def test_ranked_breaks_ties_like_a_stable_reverse_sort(self, limit):
+        view, observations = _tied_view(TIED)
+        expected = sorted(observations, key=lambda obs: obs.rsrp_dbm, reverse=True)
+        ranked = view.ranked(np.ones(len(view), dtype=bool), limit=limit)
+        assert [view.observation(column) for column in ranked] == expected[:limit]
+
+    def test_ranked_applies_mask_and_floor(self):
+        view, observations = _tied_view(TIED)
+        mask = np.array([True, False, True, True, True, True, False])
+        expected = [obs for obs, keep in zip(observations, mask)
+                    if keep and obs.rsrp_dbm > -95.0]
+        expected.sort(key=lambda obs: obs.rsrp_dbm, reverse=True)
+        assert [view.observation(column)
+                for column in view.ranked(mask, -95.0)] == expected
+
+    @pytest.mark.parametrize("mask", [
+        [True] * 7,
+        [False, False, True, True, True, True, True],
+        [False, False, False, False, False, True, True],
+        [True, False, True, False, True, False, True],
+    ])
+    def test_strongest_keeps_the_first_maximum(self, mask):
+        view, observations = _tied_view(TIED)
+        expected = _first_strongest(
+            [obs for obs, keep in zip(observations, mask) if keep])
+        assert view.observation(view.strongest(np.array(mask))) == expected
+
+    def test_strongest_of_nothing(self):
+        view, _ = _tied_view(TIED)
+        assert view.strongest(np.zeros(len(view), dtype=bool)) is None
+
+    def test_selections_by_identity(self):
+        view, observations = _tied_view(TIED)
+        wanted = [observations[3].identity, CellIdentity(999, 387410, Rat.NR)]
+        assert view.mask_of(wanted).nonzero()[0].tolist() == [3]
+        assert view.identities(view.channel == 521310) == \
+            [obs.identity for obs in observations]

@@ -1,16 +1,30 @@
 """Tests for path loss, shadowing, fading and the RSRQ map."""
 
+import gc
+import math
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign import build_deployment, device, operator
+from repro.campaign.locations import sparse_locations
 from repro.cells.cell import CellIdentity, DeployedCell, Rat
 from repro.radio.geometry import Point
 from repro.radio.propagation import (
+    FADING_RHO,
     PropagationModel,
     ShadowingField,
+    _cell_key,
+    _seeded,
+    _stable_seed,
     free_space_path_loss_db,
     log_distance_path_loss_db,
 )
+from repro.rrc.session import RunConfig, simulate_run
 from tests.conftest import nr_cell
 
 
@@ -181,3 +195,106 @@ class TestRsrq:
         model = PropagationModel(noise_floor_dbm=-116.0)
         assert model.is_measurable(-110.0)
         assert not model.is_measurable(-117.0)
+
+
+def _draws(rng):
+    """A mixed scalar/array sequence of draws, as the simulator takes them."""
+    return ([rng.normal(0.0, 2.0)] + rng.normal(0.0, 1.0, size=7).tolist()
+            + [rng.uniform(-1.0, 1.0), rng.normal()]
+            + rng.permutation(np.arange(20)).tolist())
+
+
+class TestSeededGenerator:
+    @pytest.mark.parametrize("earlier_gauss_draws", [0, 1, 3, 5])
+    def test_reseeding_equals_a_fresh_generator(self, earlier_gauss_draws):
+        # An odd number of gauss draws leaves the pair's second value
+        # cached; re-seeding must drop it like a fresh RandomState has.
+        for seed in (0, 1, 12345, 2**32 - 1):
+            rng = _seeded(seed ^ 1)
+            rng.normal(size=earlier_gauss_draws)
+            assert _draws(_seeded(seed)) == _draws(np.random.RandomState(seed))
+
+    def test_each_thread_has_its_own_generator(self):
+        seeds = list(range(300))
+        expected = {seed: _draws(np.random.RandomState(seed)) for seed in seeds}
+        orders = [seeds, seeds[::-1], seeds[1::2] + seeds[::2], seeds[::3]]
+        barrier = threading.Barrier(len(orders))
+        mismatches = []
+
+        def worker(order):
+            barrier.wait()
+            for seed in order:
+                if _draws(_seeded(seed)) != expected[seed]:
+                    mismatches.append(seed)
+
+        threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between draws
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+
+
+def _scalar_fading(model, cell, run_seed, ticks):
+    """The fading recurrence drawn one tick at a time from a fresh generator."""
+    rng = np.random.RandomState(
+        _stable_seed(model.seed, _cell_key(cell), run_seed, "fading"))
+    values = [float(rng.normal(0.0, model.fading_sigma_db))]
+    innovation_sigma = model.fading_sigma_db * math.sqrt(1 - FADING_RHO ** 2)
+    while len(values) < ticks:
+        innovation = rng.normal(0.0, innovation_sigma)
+        values.append(FADING_RHO * values[-1] + float(innovation))
+    return values
+
+
+class TestFadingSeries:
+    def test_equals_scalar_recurrence(self):
+        model = PropagationModel(seed=7, fading_sigma_db=2.0)
+        cells = [nr_cell(1), nr_cell(2, 387410)]
+        for run_seed in range(200):
+            cell = cells[run_seed % 2]
+            series = model.fading_series(cell, run_seed, 300)
+            assert series.tolist() == _scalar_fading(model, cell, run_seed, 300)
+
+    def test_shorter_series_is_a_prefix(self):
+        model = PropagationModel(seed=1)
+        long = model.fading_series(nr_cell(1), 3, 300)
+        assert model.fading_series(nr_cell(1), 3, 17).tolist() == long[:17].tolist()
+        assert model.fading_db(nr_cell(1), 3, 120) == long[120]
+
+    def test_empty_series(self):
+        assert len(PropagationModel(seed=1).fading_series(nr_cell(1), 3, 0)) == 0
+
+
+class TestLongLivedProcessMemory:
+    def test_runs_do_not_accumulate_radio_state(self):
+        # A pool worker simulates many runs on one cached deployment;
+        # nothing per run may stay behind in the propagation model.
+        profile = operator("OP_V")
+        deployment = build_deployment(profile, "A9")
+        point = sparse_locations(deployment.area, 1, seed=13)[0]
+        phone = device("OnePlus 12R")
+
+        def run(seed):
+            simulate_run(deployment.environment, profile.policy, phone, point,
+                         RunConfig(duration_s=300, run_seed=seed,
+                                   rate_model=profile.rate_model))
+
+        for seed in range(10):
+            run(seed)
+        gc.collect()
+        tracemalloc.start()  # after the warm-up: only growth is traced
+        try:
+            for seed in range(10, 30):
+                run(seed)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert growth < 2 * 1024 * 1024

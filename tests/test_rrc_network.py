@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cells.cell import CellIdentity, Rat
-from repro.radio.environment import CellObservation, RadioEnvironment
+from repro.radio.environment import (
+    CellObservation,
+    RadioEnvironment,
+    TickObservations,
+)
 from repro.radio.propagation import PropagationModel
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.network import NsaNetworkLogic, SaNetworkLogic
@@ -19,6 +23,11 @@ def obs(environment, pci, channel, rsrp, rat=Rat.NR, rsrq=None):
         rsrq = environment.propagation.rsrq_db(rsrp, cell.interference_margin_db)
     return CellObservation(cell=cell, rsrp_dbm=rsrp, rsrq_db=rsrq,
                            measurable=rsrp > environment.propagation.noise_floor_dbm)
+
+
+def view(observations):
+    """One tick's view over ``{identity: observation}``, in insertion order."""
+    return TickObservations.from_observations(observations.values())
 
 
 @pytest.fixture
@@ -91,7 +100,7 @@ class TestScellModification:
             CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -90.0),
             CellIdentity(371, 387410, Rat.NR): obs(sa_environment, 371, 387410, -82.0),
         }
-        decision = logic.scell_modification(serving, observations)
+        decision = logic.scell_modification(serving, view(observations))
         assert decision is not None
         assert decision.release_index == 1
         assert decision.add_identity == CellIdentity(371, 387410, Rat.NR)
@@ -103,7 +112,7 @@ class TestScellModification:
             CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -90.0),
             CellIdentity(371, 387410, Rat.NR): obs(sa_environment, 371, 387410, -85.0),
         }
-        assert logic.scell_modification(serving, observations) is None
+        assert logic.scell_modification(serving, view(observations)) is None
 
     def test_unmeasurable_serving_cell_not_modified(self, sa_environment,
                                                     sa_policy):
@@ -113,7 +122,7 @@ class TestScellModification:
             CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -130.0),
             CellIdentity(371, 387410, Rat.NR): obs(sa_environment, 371, 387410, -85.0),
         }
-        assert logic.scell_modification(serving, observations) is None
+        assert logic.scell_modification(serving, view(observations)) is None
 
     def test_cross_channel_neighbours_ignored(self, sa_environment, sa_policy):
         logic = SaNetworkLogic(sa_environment, sa_policy)
@@ -122,7 +131,7 @@ class TestScellModification:
             CellIdentity(273, 387410, Rat.NR): obs(sa_environment, 273, 387410, -90.0),
             CellIdentity(273, 398410, Rat.NR): obs(sa_environment, 273, 398410, -70.0),
         }
-        assert logic.scell_modification(serving, observations) is None
+        assert logic.scell_modification(serving, view(observations)) is None
 
 
 @pytest.fixture
@@ -181,7 +190,7 @@ class TestHandoverDecision:
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5815, Rat.LTE)
         observations = {pcell: obs(nsa_environment, 380, 5815, -90.0, Rat.LTE)}
-        decision = logic.handover_decision(pcell, observations,
+        decision = logic.handover_decision(pcell, view(observations),
                                            saw_5g_report=True, scg_active=False)
         assert decision is not None
         assert decision.blind
@@ -191,7 +200,7 @@ class TestHandoverDecision:
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
         pcell = CellIdentity(380, 5815, Rat.LTE)
         observations = {pcell: obs(nsa_environment, 380, 5815, -90.0, Rat.LTE)}
-        assert logic.handover_decision(pcell, observations,
+        assert logic.handover_decision(pcell, view(observations),
                                        saw_5g_report=False,
                                        scg_active=False) is None
 
@@ -201,8 +210,8 @@ class TestHandoverDecision:
         serving = obs(nsa_environment, 222, 66661, -100.0, Rat.LTE, rsrq=-18.0)
         # 5815 has a 6 dB offset: an 8 dB better RSRQ triggers the handover.
         low_band = obs(nsa_environment, 380, 5815, -95.0, Rat.LTE, rsrq=-10.0)
-        decision = logic.handover_decision(pcell, {pcell: serving,
-                                                   low_band.identity: low_band},
+        decision = logic.handover_decision(pcell, view({pcell: serving,
+                                                   low_band.identity: low_band}),
                                            saw_5g_report=False, scg_active=True)
         assert decision is not None
         assert decision.target.channel == 5815
@@ -214,8 +223,8 @@ class TestHandoverDecision:
         serving = obs(nsa_environment, 380, 5145, -100.0, Rat.LTE, rsrq=-18.0)
         mid_band = obs(nsa_environment, 222, 66661, -95.0, Rat.LTE, rsrq=-10.0)
         # 8 dB better, but the default offset is 10 dB: no handover.
-        assert logic.handover_decision(pcell, {pcell: serving,
-                                               mid_band.identity: mid_band},
+        assert logic.handover_decision(pcell, view({pcell: serving,
+                                               mid_band.identity: mid_band}),
                                        saw_5g_report=False,
                                        scg_active=False) is None
 
@@ -224,8 +233,8 @@ class TestHandoverDecision:
         pcell = CellIdentity(380, 5145, Rat.LTE)
         serving = obs(nsa_environment, 380, 5145, -110.0, Rat.LTE, rsrq=-25.0)
         mid_band = obs(nsa_environment, 222, 66661, -80.0, Rat.LTE, rsrq=-9.0)
-        decision = logic.handover_decision(pcell, {pcell: serving,
-                                                   mid_band.identity: mid_band},
+        decision = logic.handover_decision(pcell, view({pcell: serving,
+                                                   mid_band.identity: mid_band}),
                                            saw_5g_report=False, scg_active=True)
         assert decision is not None
         assert decision.keep_scg
@@ -240,7 +249,7 @@ class TestScgManagement:
             CellIdentity(380, 632736, Rat.NR): obs(nsa_environment, 380, 632736, -95.0),
             CellIdentity(380, 658080, Rat.NR): obs(nsa_environment, 380, 658080, -97.0),
         }
-        addition = logic.scg_addition(pcell, nr_observations)
+        addition = logic.scg_addition(pcell, view(nr_observations))
         assert addition is not None
         pscell, partners = addition
         assert pscell == CellIdentity(380, 632736, Rat.NR)
@@ -253,7 +262,7 @@ class TestScgManagement:
         nr_observations = {
             CellIdentity(380, 632736, Rat.NR): obs(nsa_environment, 380, 632736, -95.0),
         }
-        assert logic.scg_addition(pcell, nr_observations) is None
+        assert logic.scg_addition(pcell, view(nr_observations)) is None
 
     def test_addition_none_below_b1(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
@@ -261,7 +270,7 @@ class TestScgManagement:
         nr_observations = {
             CellIdentity(380, 632736, Rat.NR): obs(nsa_environment, 380, 632736, -117.0),
         }
-        assert logic.scg_addition(pcell, nr_observations) is None
+        assert logic.scg_addition(pcell, view(nr_observations)) is None
 
     def test_change_requires_a3_offset(self, nsa_environment, nsa_policy):
         logic = NsaNetworkLogic(nsa_environment, nsa_policy)
@@ -270,7 +279,7 @@ class TestScgManagement:
             pscell: obs(nsa_environment, 380, 632736, -100.0),
             CellIdentity(380, 658080, Rat.NR): obs(nsa_environment, 380, 658080, -94.0),
         }
-        change = logic.scg_change(pscell, nr_observations)
+        change = logic.scg_change(pscell, view(nr_observations))
         assert change == CellIdentity(380, 658080, Rat.NR)
 
     def test_change_none_when_close(self, nsa_environment, nsa_policy):
@@ -280,4 +289,4 @@ class TestScgManagement:
             pscell: obs(nsa_environment, 380, 632736, -100.0),
             CellIdentity(380, 658080, Rat.NR): obs(nsa_environment, 380, 658080, -98.0),
         }
-        assert logic.scg_change(pscell, nr_observations) is None
+        assert logic.scg_change(pscell, view(nr_observations)) is None
