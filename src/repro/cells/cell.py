@@ -11,6 +11,7 @@ needed by the radio simulation substrate.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -18,11 +19,21 @@ from repro.cells.arfcn import earfcn_to_frequency_mhz, nr_arfcn_to_frequency_mhz
 from repro.cells.bands import Band, band_for_earfcn, band_for_nr_arfcn
 
 
+@functools.total_ordering
 class Rat(enum.Enum):
-    """Radio access technology of a cell."""
+    """Radio access technology of a cell.
+
+    RATs sort in declaration order, ``NR < LTE``, so identities that
+    share a PCI and channel across RATs still have a total order.
+    """
 
     NR = "5G"
     LTE = "4G"
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not Rat:
+            return NotImplemented
+        return self is Rat.NR and other is Rat.LTE
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -38,6 +49,12 @@ class CellIdentity:
     Two physical cells may legitimately share a PCI on different
     channels (e.g. ``273@387410`` vs ``273@398410`` in Table 2), so the
     identity is the (pci, channel, rat) triple.
+
+    The hash covers ints only, ``(pci, channel, rat is Rat.NR)``, so it
+    is the same in every process whatever ``PYTHONHASHSEED`` is.  It is
+    computed on first use and cached on the instance rather than in
+    ``__post_init__``: instances restored by pickle or ``copy`` skip
+    ``__init__`` and carry only the three fields.
     """
 
     pci: int
@@ -49,6 +66,14 @@ class CellIdentity:
             raise ValueError(f"PCI {self.pci} outside 0..1007")
         if self.channel < 0:
             raise ValueError(f"channel {self.channel} must be non-negative")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.pci, self.channel, self.rat is Rat.NR))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     @property
     def notation(self) -> str:

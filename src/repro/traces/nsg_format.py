@@ -14,6 +14,11 @@ analysis pipeline can be pointed at NSG-like text exactly the way the
 paper's released scripts are.  The JSONL format remains the canonical
 round-trip format; the NSG text covers the RRC-visible subset (it does
 not carry throughput samples, which NSG never logged either).
+
+Every cell reference is built through the codec's interning
+constructor (:func:`~repro.traces.records.cell_identity`), so a RAT
+label other than ``5G``/``4G`` is an :class:`NsgFormatError`, never a
+silent LTE.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.traces.records import (
     ScgFailureRecord,
     SystemInfoRecord,
     ThroughputSampleRecord,
+    cell_identity,
 )
 
 
@@ -70,18 +76,26 @@ def _cell_ref(identity: CellIdentity) -> str:
             f"RAT = {identity.rat.value}")
 
 
+# The RAT groups accept any word so that a bad label reaches
+# cell_identity and is rejected there instead of failing to match.
 _CELL_REF_RE = re.compile(
     r"Physical Cell ID = (?P<pci>\d+), Freq = (?P<channel>\d+), "
-    r"RAT = (?P<rat>\dG)")
+    r"RAT = (?P<rat>\w+)")
+
+
+def _identity(pci: str, channel: str, rat: str) -> CellIdentity:
+    """:func:`cell_identity`, with a bad value as an :class:`NsgFormatError`."""
+    try:
+        return cell_identity(pci, channel, rat)
+    except ValueError as error:
+        raise NsgFormatError(str(error)) from None
 
 
 def _parse_cell_ref(text: str) -> CellIdentity:
     match = _CELL_REF_RE.search(text)
     if match is None:
         raise NsgFormatError(f"no cell reference in {text!r}")
-    rat = Rat.NR if match.group("rat") == "5G" else Rat.LTE
-    return CellIdentity(int(match.group("pci")), int(match.group("channel")),
-                        rat)
+    return _identity(*match.groups())
 
 
 def render_record(record: Record) -> list[str]:
@@ -177,10 +191,18 @@ def render_record(record: Record) -> list[str]:
 
 
 def render_trace(trace: SignalingTrace) -> str:
-    """Render a whole trace as NSG-style text (with a metadata header)."""
-    lines = [f"# operator={trace.metadata.operator} "
-             f"area={trace.metadata.area} location={trace.metadata.location} "
-             f"device={trace.metadata.device} run_seed={trace.metadata.run_seed}"]
+    """Render a whole trace as NSG-style text (with a metadata header).
+
+    The header carries ``mode=`` only for a non-stationary run, so a
+    stationary trace renders as it did before the field existed.
+    """
+    metadata = trace.metadata
+    header = (f"# operator={metadata.operator} area={metadata.area} "
+              f"location={metadata.location} device={metadata.device} "
+              f"run_seed={metadata.run_seed}")
+    if metadata.mode != "stationary":
+        header += f" mode={metadata.mode}"
+    lines = [header]
     for record in trace.records:
         lines.extend(render_record(record))
     return "\n".join(lines) + "\n"
@@ -189,10 +211,10 @@ def render_trace(trace: SignalingTrace) -> str:
 _HEADER_RE = re.compile(
     r"^# operator=(?P<operator>\S*) area=(?P<area>\S*) "
     r"location=(?P<location>\S*) device=(?P<device>.*?) "
-    r"run_seed=(?P<seed>\d+)$")
+    r"run_seed=(?P<seed>\d+)(?: mode=(?P<mode>\S+))?$")
 _STAMP_RE = re.compile(r"^(\d{2}:\d{2}:\d{2}\.\d{3}) (.*)$")
 _MEAS_LINE_RE = re.compile(
-    r"^(?P<pci>\d+)@(?P<channel>\d+)/(?P<rat>\dG) \((?P<role>\w+)\): "
+    r"^(?P<pci>\d+)@(?P<channel>\d+)/(?P<rat>\w+) \((?P<role>\w+)\): "
     r"(?P<rsrp>-?\d+\.\d)dBm (?P<rsrq>-?\d+\.\d)dB$")
 _SCELL_ENTRY_RE = re.compile(
     r"\{sCellIndex (\d+), physCellId (\d+), absoluteFrequencySSB (\d+)\}")
@@ -200,7 +222,7 @@ _SCELL_ENTRY_RE = re.compile(
 
 def _parse_block(time_s: float, head: str, body: list[str]) -> Record | None:
     """Parse one timestamped block into a record (None for ignorable)."""
-    is_nr = head.startswith("NR5G")
+    rat = "5G" if head.startswith("NR5G") else "4G"
 
     def cell() -> CellIdentity:
         for line in body:
@@ -230,19 +252,16 @@ def _parse_block(time_s: float, head: str, body: list[str]) -> Record | None:
             match = _MEAS_LINE_RE.match(line)
             if match is None:
                 continue
-            rat = Rat.NR if match.group("rat") == "5G" else Rat.LTE
+            pci, channel, cell_rat, role, rsrp, rsrq = match.groups()
             measurements.append(CellMeasurement(
-                CellIdentity(int(match.group("pci")),
-                             int(match.group("channel")), rat),
-                float(match.group("rsrp")), float(match.group("rsrq")),
-                is_serving=match.group("role") == "serving"))
+                _identity(pci, channel, cell_rat), float(rsrp), float(rsrq),
+                role == "serving"))
         return MeasurementReportRecord(time_s=time_s, event=event,
                                        measurements=tuple(measurements))
     if "/ RRCReconfiguration Complete" in head:
         return RrcReconfigurationCompleteRecord(time_s=time_s, pcell=cell())
     if "/ RRCReconfiguration" in head:
         pcell = cell()
-        rat = Rat.NR if is_nr else Rat.LTE
         add_mod: list[ScellAddMod] = []
         release: tuple[int, ...] = ()
         handover = None
@@ -254,27 +273,24 @@ def _parse_block(time_s: float, head: str, body: list[str]) -> Record | None:
             if line.startswith("sCellToAddModList"):
                 for index, pci, channel in _SCELL_ENTRY_RE.findall(line):
                     add_mod.append(ScellAddMod(
-                        int(index), CellIdentity(int(pci), int(channel), rat)))
+                        int(index), _identity(pci, channel, rat)))
             elif line.startswith("sCellToReleaseList"):
                 release = tuple(int(v) for v in re.findall(r"\d+", line))
             elif line.startswith("mobilityControlInfo"):
                 match = re.search(r"targetPhysCellId (\d+) targetFreq (\d+)",
                                   line)
                 if match:
-                    handover = CellIdentity(int(match.group(1)),
-                                            int(match.group(2)), rat)
+                    handover = _identity(*match.groups(), rat)
             elif line.startswith("spCellConfig"):
                 match = re.search(r"physCellId (\d+) freq (\d+)", line)
                 if match:
-                    scg_pscell = CellIdentity(int(match.group(1)),
-                                              int(match.group(2)), Rat.NR)
+                    scg_pscell = _identity(*match.groups(), "5G")
                 partner_match = re.search(r"scells (.+)$", line)
                 if partner_match:
                     partners = []
                     for token in partner_match.group(1).split():
                         pci, channel = token.split("@")
-                        partners.append(CellIdentity(int(pci), int(channel),
-                                                     Rat.NR))
+                        partners.append(_identity(pci, channel, "5G"))
                     scg_scells = tuple(partners)
             elif line.startswith("scg-ToReleaseList"):
                 release_scg = True
@@ -338,26 +354,28 @@ def parse_nsg_text(text: str) -> SignalingTrace:
         line = raw.rstrip()
         if not line:
             continue
-        header = _HEADER_RE.match(line)
-        if header is not None:
-            trace.metadata = TraceMetadata(
-                operator=header.group("operator"),
-                area=header.group("area"),
-                location=header.group("location"),
-                device=header.group("device"),
-                run_seed=int(header.group("seed")))
-            continue
-        stamped = _STAMP_RE.match(line)
-        if stamped is not None:
-            flush()
-            hours_time = _parse_timestamp(stamped.group(1))
-            current = (hours_time, stamped.group(2), [])
-        elif line.startswith("  "):
+        # Continuation lines are most of a capture; route them first.
+        if line.startswith("  "):
             if current is None:
                 raise NsgFormatError(
                     f"line {line_number}: continuation without a block")
             current[2].append(line.strip())
-        else:
+            continue
+        if line.startswith("#"):
+            header = _HEADER_RE.match(line)
+            if header is not None:
+                trace.metadata = TraceMetadata(
+                    operator=header.group("operator"),
+                    area=header.group("area"),
+                    location=header.group("location"),
+                    device=header.group("device"),
+                    run_seed=int(header.group("seed")),
+                    mode=header.group("mode") or "stationary")
+                continue
+        stamped = _STAMP_RE.match(line)
+        if stamped is None:
             raise NsgFormatError(f"line {line_number}: unparseable {line!r}")
+        flush()
+        current = (_parse_timestamp(stamped.group(1)), stamped.group(2), [])
     flush()
     return trace

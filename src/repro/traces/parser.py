@@ -80,7 +80,7 @@ def _parse_setup_complete(t: float, data: dict) -> Record:
 
 
 def _parse_meas_report(t: float, data: dict) -> Record:
-    measurements = tuple(CellMeasurement.from_dict(m) for m in data["meas"])
+    measurements = tuple(map(CellMeasurement.from_dict, data["meas"]))
     return MeasurementReportRecord(time_s=t, event=str(data["event"]),
                                    measurements=measurements)
 

@@ -16,6 +16,7 @@ must track the index->cell mapping exactly as the authors' scripts do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.cells.cell import CellIdentity, Rat
 
@@ -39,21 +40,38 @@ class CellMeasurement:
 
     @staticmethod
     def from_dict(data: dict) -> "CellMeasurement":
-        return CellMeasurement(
-            identity=_decode_identity(data["cell"]),
-            rsrp_dbm=float(data["rsrp"]),
-            rsrq_db=float(data["rsrq"]),
-            is_serving=bool(data.get("serving", False)),
-        )
+        return CellMeasurement(_decode_identity(data["cell"]),
+                               float(data["rsrp"]), float(data["rsrq"]),
+                               bool(data.get("serving", False)))
+
+
+@lru_cache(maxsize=4096)
+def cell_identity(pci, channel, rat: str) -> CellIdentity:
+    """The interned identity for raw codec values ``(pci, ch, rat)``.
+
+    The only way the trace codecs build identities: a cell costs one
+    construction (and one validation) on its first sighting, and every
+    later reference to it is a cache hit returning the same object.
+    ``rat`` must be the label ``"5G"`` or ``"4G"``; anything else
+    raises ``ValueError``.  The bound keeps a long-lived ingest process
+    from growing with the number of cells it has ever seen.
+    """
+    if rat == "5G":
+        kind = Rat.NR
+    elif rat == "4G":
+        kind = Rat.LTE
+    else:
+        raise ValueError(f"unknown RAT label {rat!r} (expected 5G or 4G)")
+    return CellIdentity(int(pci), int(channel), kind)
 
 
 def _encode_identity(identity: CellIdentity) -> dict:
-    return {"pci": identity.pci, "ch": identity.channel, "rat": identity.rat.value}
+    return {"pci": identity.pci, "ch": identity.channel,
+            "rat": "5G" if identity.rat is Rat.NR else "4G"}
 
 
 def _decode_identity(data: dict) -> CellIdentity:
-    rat = Rat.NR if data["rat"] == Rat.NR.value else Rat.LTE
-    return CellIdentity(pci=int(data["pci"]), channel=int(data["ch"]), rat=rat)
+    return cell_identity(data["pci"], data["ch"], data["rat"])
 
 
 def _encode_optional_identity(identity: CellIdentity | None) -> dict | None:

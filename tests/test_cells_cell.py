@@ -1,7 +1,19 @@
 """Tests for cell identities, notation parsing and deployed cells."""
 
+import copyreg
+import dataclasses
+import io
+import os
+import pickle
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
+
+import repro
 
 from repro.cells.bands import (
     BandCatalogue,
@@ -11,6 +23,8 @@ from repro.cells.bands import (
     band_for_nr_arfcn,
 )
 from repro.cells.cell import CellIdentity, DeployedCell, Rat, parse_cell_notation
+from repro.core.cellset import CellSet
+from repro.resilience import memo as memo_mod
 
 
 class TestCellIdentity:
@@ -51,6 +65,90 @@ class TestCellIdentity:
         identities = [CellIdentity(5, 387410), CellIdentity(3, 387410),
                       CellIdentity(3, 398410)]
         assert sorted(identities)[0].pci == 3
+
+    def test_ordering_across_rats_puts_nr_first(self):
+        nr = CellIdentity(1, 100, Rat.NR)
+        lte = CellIdentity(1, 100, Rat.LTE)
+        assert sorted([lte, nr]) == [nr, lte]
+        assert sorted([nr, lte]) == [nr, lte]
+        assert nr < lte and lte > nr and nr <= lte and lte >= nr
+        assert Rat.NR < Rat.LTE
+
+    def test_cellset_renders_same_cell_on_both_rats(self):
+        scells = frozenset({CellIdentity(1, 100, Rat.NR),
+                            CellIdentity(1, 100, Rat.LTE)})
+        cellset = CellSet(pcell=CellIdentity(5, 100, Rat.LTE),
+                          mcg_scells=scells)
+        assert str(cellset) == "{P:5@100, S:1@100, S:1@100}"
+
+
+class _LegacyPickler(pickle.Pickler):
+    """Pickles identities as they were before they cached their hash:
+    ``__newobj__`` plus a three-field ``__dict__`` state."""
+
+    def reducer_override(self, obj):
+        if type(obj) is CellIdentity:
+            return (copyreg.__newobj__, (CellIdentity,),
+                    {"pci": obj.pci, "channel": obj.channel, "rat": obj.rat})
+        return NotImplemented
+
+
+def _legacy_pickle(obj) -> bytes:
+    buffer = io.BytesIO()
+    _LegacyPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
+
+
+class TestCellIdentityHash:
+    def test_equal_identities_hash_equal(self):
+        a = CellIdentity(273, 387410, Rat.NR)
+        b = CellIdentity(273, 387410, Rat.NR)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) != hash(CellIdentity(273, 387410, Rat.LTE))
+
+    def test_replace_gives_consistent_hash(self):
+        a = CellIdentity(273, 387410, Rat.NR)
+        hash(a)
+        moved = dataclasses.replace(a, channel=398410)
+        assert hash(moved) == hash(CellIdentity(273, 398410, Rat.NR))
+        assert hash(dataclasses.replace(moved, channel=387410)) == hash(a)
+
+    def test_hash_is_independent_of_hash_seed(self):
+        source = Path(repro.__file__).parents[1]
+        code = ("from repro.cells.cell import CellIdentity, Rat; "
+                "print(hash(CellIdentity(273, 387410, Rat.NR)))")
+        hashes = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(source))
+            hashes.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        assert len(hashes) == 1
+
+    def test_legacy_pickle_state_hashes_and_compares(self):
+        restored = object.__new__(CellIdentity)
+        restored.__dict__.update(pci=273, channel=387410, rat=Rat.NR)
+        fresh = CellIdentity(273, 387410, Rat.NR)
+        assert restored == fresh and hash(restored) == hash(fresh)
+        assert restored in {fresh}
+
+        loaded = pickle.loads(_legacy_pickle(frozenset({fresh})))
+        assert loaded == frozenset({fresh})
+
+    def test_memo_entry_with_legacy_state_is_a_hit(self, tmp_path):
+        cells = frozenset({CellIdentity(273, 387410, Rat.NR),
+                           CellIdentity(380, 5815, Rat.LTE)})
+        analysis = CellSet(pcell=CellIdentity(1, 5815, Rat.LTE),
+                           mcg_scells=cells)
+        memo = memo_mod.AnalysisMemo(tmp_path)
+        payload = _legacy_pickle(analysis)
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        memo._path("d" * 64).write_bytes(
+            memo_mod._MAGIC + f"{crc:08x}\n".encode("ascii") + payload)
+        loaded = memo.get("d" * 64)
+        assert loaded is not None
+        assert loaded == analysis and loaded.mcg_scells == cells
 
 
 class TestParseNotation:
