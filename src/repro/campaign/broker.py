@@ -4,7 +4,7 @@ PR 6's :class:`~repro.resilience.taskqueue.DurableTaskQueue` makes
 campaign completion a durability property, but its flock-serialized
 spool and shared-``CLOCK_MONOTONIC`` assumption pin every worker to one
 filesystem and one host.  :class:`CampaignBroker` lifts the *same*
-event-log protocol onto a stdlib ``ThreadingHTTPServer``: the broker is
+event-log protocol onto HTTP (:func:`repro.obs.http.serve`): the broker is
 the only process touching the spool, and every verb — attach / submit /
 seal / claim / heartbeat / complete / sync — travels as one CRC-framed
 JSON line over HTTP (the v1 checkpoint framing, verified again on the
@@ -51,11 +51,11 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
 from repro.obs import Instrumentation, make_instrumentation
+from repro.obs.http import PROMETHEUS_TYPE, HardenedHTTPServer, serve
 from repro.resilience.checkpoint import (
     CheckpointMismatchError,
     frame_line,
@@ -72,7 +72,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "BROKER_PROTOCOL_VERSION",
-    "BrokerHTTPServer",
     "CampaignBroker",
     "serve_broker",
 ]
@@ -235,8 +234,7 @@ class CampaignBroker:
                 return self._ok(self._status_response())
             if path == "/v1/metrics":
                 text = self.obs.registry.to_prometheus()
-                return (200, "text/plain; version=0.0.4; charset=utf-8",
-                        text.encode("utf-8"))
+                return 200, PROMETHEUS_TYPE, text.encode("utf-8")
             return self._error(404, f"unknown path {path}")
         if method != "POST":
             return self._error(405, f"{method} not supported")
@@ -545,50 +543,14 @@ class CampaignBroker:
 # ----------------------------------------------------------------------
 
 
-class BrokerHTTPServer(ThreadingHTTPServer):
-    """Hardened threading server: daemon handler threads (a stalled
-    client never wedges ``server_close``) + per-request socket timeouts
-    set on the handler class by :func:`serve_broker`."""
-
-    daemon_threads = True
-
-
 def serve_broker(broker: CampaignBroker, port: int, host: str = "127.0.0.1",
-                 request_timeout_s: float = 30.0) -> BrokerHTTPServer:
-    """Bind ``broker`` to an HTTP server (``port=0`` picks a free one).
+                 request_timeout_s: float = 30.0) -> HardenedHTTPServer:
+    """Bind ``broker.handle`` to the hardened HTTP server
+    (:func:`repro.obs.http.serve`; ``port=0`` picks a free one).
 
     The caller owns the returned server (``serve_forever()`` /
     ``shutdown()``); ``repro broker serve`` blocks on it, tests run it
-    in a thread.
+    in a thread.  Draining answers 503 with ``Retry-After``.
     """
-
-    class _BrokerHandler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        timeout = request_timeout_s  # stalled sockets release the thread
-
-        def _dispatch(self) -> None:
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length) if length > 0 else b""
-                status, content_type, payload = broker.handle(
-                    self.command, self.path, body)
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(payload)))
-                if status == 503:
-                    self.send_header("Retry-After", "1")
-                self.end_headers()
-                self.wfile.write(payload)
-            except (BrokenPipeError, ConnectionResetError):
-                # The client gave up mid-response (its own timeout or a
-                # fault injector); it will retry — nothing to do here.
-                self.close_connection = True
-
-        do_GET = _dispatch
-        do_POST = _dispatch
-        do_PUT = _dispatch
-
-        def log_message(self, format: str, *args: object) -> None:
-            pass  # request logs go through broker.obs, not stderr
-
-    return BrokerHTTPServer((host, port), _BrokerHandler)
+    return serve(broker.handle, port, host=host,
+                 request_timeout_s=request_timeout_s)

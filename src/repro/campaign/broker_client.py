@@ -179,7 +179,7 @@ class BrokerClient(QueueTransport):
         self.retry = retry if retry is not None else default_broker_retry()
         self.send = send if send is not None \
             else HTTPTransport(self.base_url, timeout_s=timeout_s)
-        self.sleep = sleep
+        self._sleep = sleep
         self.state = LeaseState()
         self._monotonic = monotonic
         self._lock = threading.RLock()
@@ -235,7 +235,7 @@ class BrokerClient(QueueTransport):
                     "broker_client_retries_total").inc(path=path)
                 delay = self.retry.backoff_s((path,), attempt - 1)
                 if delay > 0:
-                    self.sleep(delay)
+                    self._sleep(delay)
             try:
                 status, payload = self.send(method, path, body)
             except OSError as error:  # incl. transport + injected faults
@@ -313,7 +313,7 @@ class BrokerClient(QueueTransport):
             if attempt:
                 delay = self.retry.backoff_s((digest,), attempt - 1)
                 if delay > 0:
-                    self.sleep(delay)
+                    self._sleep(delay)
             status, payload = self._call(
                 "GET", f"/v1/artifacts/{digest}", framed_response=False)
             if status == 404:

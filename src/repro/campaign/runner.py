@@ -16,13 +16,15 @@ their checkpointed traces rather than re-simulated).
 
 Execution is also parallel on demand: runs are embarrassingly parallel
 (every run is seeded per key), so ``CampaignConfig.workers > 1`` fans
-the schedule out over a process pool.  Workers run the identical
-retry/quarantine path and ship back ``(result-or-quarantine, metrics
-snapshot, spans)`` payloads; the parent merges them **in schedule
-order**, so the ``CampaignResult``, checkpoint contents and every
-exported counter are bit-identical to sequential execution for the
-same seed.  Checkpoint appends and progress callbacks only ever happen
-in the parent process.
+the schedule out over a process pool.  Every backend — in-process,
+pool, queue, broker (see :mod:`repro.campaign.scheduler`) — feeds one
+merge loop, :meth:`CampaignRunner._run_scheduled`, and every run goes
+through one executor, :func:`_run_task`.  Pool and queue workers ship
+back ``(result-or-quarantine, metrics snapshot, spans)`` payloads; the
+parent merges them **in schedule order**, so the ``CampaignResult``,
+checkpoint contents and every exported counter are bit-identical to
+sequential execution for the same seed.  Checkpoint appends and
+progress callbacks only ever happen in the parent process.
 
 Execution is *supervised* (see :mod:`repro.resilience.supervision`):
 every run gets a cooperative wall-clock budget
@@ -44,6 +46,7 @@ from typing import Callable, Iterator
 from repro.campaign.dataset import CampaignResult, QuarantinedRun, RunResult
 from repro.campaign.scheduler import (
     DrainResult,
+    InlineScheduler,
     PendingRun,
     PoolScheduler,
     QueueScheduler,
@@ -67,7 +70,7 @@ from repro.radio.deployment import AreaDeployment
 from repro.radio.geometry import Point
 from repro.resilience.checkpoint import CampaignCheckpoint, CheckpointEntry, RunKey
 from repro.resilience.memo import AnalysisMemo, trace_digest
-from repro.resilience.retry import AttemptOutcome, RetryPolicy, execute_with_retry
+from repro.resilience.retry import RetryPolicy, execute_with_retry
 from repro.resilience.supervision import (
     CircuitBreaker,
     RunTimeoutError,
@@ -78,6 +81,12 @@ from repro.resilience.taskqueue import DurableTaskQueue
 from repro.rrc.capabilities import DeviceCapabilities
 from repro.rrc.session import RunConfig, simulate_run
 from repro.traces.log import TraceMetadata
+
+#: How long a graceful SIGTERM/SIGINT stop waits for finished head
+#: slots to drain into the checkpoint before killing the backend.
+SHUTDOWN_GRACE_S = 5.0
+#: The queue/broker coordinator's completion poll cadence.
+QUEUE_POLL_S = 0.05
 
 
 def run_once(
@@ -186,7 +195,7 @@ class CampaignConfig:
     of re-simulating them (failed runs are always re-attempted).
 
     ``workers`` fans run execution out over a process pool (``<= 1``
-    keeps the in-process path).  Parallel execution is bit-identical to
+    runs in-process).  Parallel execution is bit-identical to
     sequential for the same seed: results, checkpoint contents and
     exported counters are merged in schedule order by the parent.
 
@@ -199,19 +208,17 @@ class CampaignConfig:
     ``breaker_max_consecutive_failures`` bound supervision-level
     recovery before the campaign fails fast (``0`` disables the
     consecutive-failure check).  ``checkpoint_fsync=False`` trades the
-    per-append ``os.fsync`` durability guarantee for throughput, and
-    ``shutdown_grace_s`` caps how long a graceful SIGTERM/SIGINT stop
-    waits to drain in-flight worker futures into the checkpoint.
+    per-append ``os.fsync`` durability guarantee for throughput.
 
     The scheduler knobs (see :mod:`repro.campaign.scheduler`):
     ``scheduler="pool"`` keeps the in-host supervised ProcessPool;
     ``scheduler="queue"`` spools the schedule into a durable on-disk
     task queue at ``queue_dir`` and merges completions produced by
     independent ``repro worker`` processes — ``lease_timeout_s`` is
-    the work-claim lease each worker must heartbeat, ``queue_poll_s``
-    the coordinator's spool poll cadence, and ``queue_stall_s`` how
-    long a silent queue with no live workers is tolerated before the
-    circuit breaker fails the campaign fast (``0`` disables).  All of
+    the work-claim lease each worker must heartbeat, and
+    ``queue_stall_s`` how long a silent queue with no live workers is
+    tolerated before the circuit breaker fails the campaign fast (``0``
+    disables).  All of
     these are execution knobs: they are deliberately excluded from
     :meth:`CampaignRunner.campaign_identity`, so checkpoints and
     spools interoperate across pool/queue/sequential execution.
@@ -243,11 +250,9 @@ class CampaignConfig:
     checkpoint_fsync: bool = True
     breaker_max_rebuilds: int = 3
     breaker_max_consecutive_failures: int = 0
-    shutdown_grace_s: float = 5.0
     scheduler: str = "pool"
     queue_dir: str | Path | None = None
     lease_timeout_s: float = 30.0
-    queue_poll_s: float = 0.05
     queue_stall_s: float = 60.0
     memo_dir: str | Path | None = None
     #: ``scheduler="broker"``: coordinate through a ``repro broker
@@ -289,13 +294,14 @@ class ScheduledRun:
 
 
 # ----------------------------------------------------------------------
-# Process-pool execution engine (CampaignConfig.workers > 1)
+# Run executor (shared by every scheduler backend)
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """One run shipped to a pool worker (no deployment: rebuilt there)."""
+    """One run as a backend executes it (no deployment: pool and queue
+    workers rebuild it)."""
 
     key: RunKey
     profile: OperatorProfile
@@ -320,15 +326,17 @@ class _WorkerTask:
 
 @dataclass
 class _WorkerOutcome:
-    """What a pool worker ships back: payload + telemetry to merge."""
+    """One executed run: payload, plus the telemetry a worker ships
+    home for the parent to merge (``None``/empty when the run reported
+    straight into the parent's bundle)."""
 
     key: RunKey
     run_result: RunResult | None
     quarantined: QuarantinedRun | None
     attempts: int
     retries: int
-    metrics: dict | None
-    spans: list[dict]
+    metrics: dict | None = None
+    spans: list[dict] = field(default_factory=list)
     timed_out: bool = False
 
 
@@ -348,51 +356,90 @@ def _worker_deployment(profile: OperatorProfile,
     return deployment
 
 
-def _finish_outcome(outcome: AttemptOutcome, key: RunKey, span,
-                    registry) -> tuple[RunResult | None,
-                                       QuarantinedRun | None, int, bool]:
-    """Shared post-retry accounting (sequential path and pool workers).
+def _run_task(task: _WorkerTask, deployment: AreaDeployment,
+              device: DeviceCapabilities, memo: AnalysisMemo | None,
+              run_fn: Callable[..., RunResult] | None = None
+              ) -> _WorkerOutcome:
+    """One run through the retry loop, reporting into the active bundle.
 
-    Returns ``(run_result, quarantined, retries, timed_out)`` —
-    ``timed_out`` flags a quarantine whose terminal error was the run
-    blowing its wall-clock budget, which gets its own progress tally
+    The single run executor.  Pool and queue workers reach it through
+    :func:`_execute_worker_task`, which resolves ``deployment``,
+    ``device`` and ``memo`` from the task; the in-process backend calls
+    it in the parent with the schedule's own deployment and the
+    campaign's memo.  ``run_fn=None`` means the module-global
+    :func:`run_once`, looked up per call so a monkeypatched ``run_once``
+    intercepts every run.  A quarantine whose terminal error is a blown
+    wall-clock budget sets ``timed_out``: it gets its own progress tally
     and supervision counter.
     """
-    span.set_attribute("attempts", outcome.attempts)
-    events = get_instrumentation().events
-    retries = outcome.attempts - 1
-    if retries:
-        registry.counter("campaign_run_retries_total").inc(retries)
-        registry.counter("campaign_runs_retried_total").inc()
-    if not outcome.succeeded:
+    execute = run_once if run_fn is None else run_fn
+    # Custom run_fn hooks (the chaos harness) and tests' run_once
+    # stand-ins predate the memo parameter; only forward it when a
+    # store is configured for the stock function.
+    run_kwargs = {"memo": memo} if memo is not None and run_fn is None \
+        else {}
+
+    def attempt() -> RunResult:
+        # Each retry attempt gets a fresh cooperative deadline; a run
+        # that overruns raises RunTimeoutError at the next stage
+        # boundary (or here, if it only overran while finishing) and
+        # flows through the normal retry/quarantine machinery.
+        with deadline_scope(task.run_timeout_s):
+            value = execute(deployment, task.profile, device, task.point,
+                            task.location_name, task.run_index,
+                            duration_s=task.duration_s,
+                            keep_trace=task.keep_trace, **run_kwargs)
+            check_deadline("run")
+            return value
+
+    obs = get_instrumentation()
+    registry = obs.registry
+    with obs.tracer.span("run", operator=task.profile.name,
+                         area=task.area_name, location=task.location_name,
+                         run_index=task.run_index,
+                         worker_pid=os.getpid()) as span:
+        outcome = execute_with_retry(attempt, task.policy, key=task.key)
+        span.set_attribute("attempts", outcome.attempts)
+        retries = outcome.attempts - 1
+        if retries:
+            registry.counter("campaign_run_retries_total").inc(retries)
+            registry.counter("campaign_runs_retried_total").inc()
+        if outcome.succeeded:
+            registry.counter("campaign_runs_completed_total").inc()
+            span.set_attribute("outcome", "completed")
+            return _WorkerOutcome(task.key, outcome.value, None,
+                                  outcome.attempts, retries)
         error = outcome.error
         timed_out = isinstance(error, RunTimeoutError)
-        quarantined = QuarantinedRun(
-            *key, error=f"{type(error).__name__}: {error}",
-            attempts=outcome.attempts)
         registry.counter("campaign_runs_quarantined_total").inc()
         if timed_out:
             registry.counter("campaign_run_timeouts_total").inc()
             span.set_attribute("timed_out", True)
         span.set_attribute("outcome", "quarantined")
-        events.emit("run.quarantined", severity="warning", run_key=key,
-                    error=quarantined.error, attempts=outcome.attempts,
-                    timed_out=timed_out)
-        return None, quarantined, retries, timed_out
-    registry.counter("campaign_runs_completed_total").inc()
-    span.set_attribute("outcome", "completed")
-    events.emit("run.completed", severity="debug", run_key=key,
-                attempts=outcome.attempts)
-    return outcome.value, None, retries, False
+        quarantined = QuarantinedRun(
+            *task.key, error=f"{type(error).__name__}: {error}",
+            attempts=outcome.attempts)
+        return _WorkerOutcome(task.key, None, quarantined, outcome.attempts,
+                              retries, timed_out=timed_out)
+
+
+def _emit_outcome(events, outcome: _WorkerOutcome) -> None:
+    """The ``run.completed`` / ``run.quarantined`` event for one run."""
+    if outcome.quarantined is not None:
+        events.emit("run.quarantined", severity="warning",
+                    run_key=outcome.key, error=outcome.quarantined.error,
+                    attempts=outcome.attempts, timed_out=outcome.timed_out)
+    else:
+        events.emit("run.completed", severity="debug", run_key=outcome.key,
+                    attempts=outcome.attempts)
 
 
 def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
-    """Pool-worker entry point: one run through the retry loop.
+    """Pool- and queue-worker entry point: :func:`_run_task` in a fresh
+    instrumentation bundle whose snapshot ships home with the outcome.
 
-    Mirrors ``CampaignRunner._execute`` exactly, except that
-    checkpointing, progress and result accounting stay with the parent:
-    the worker reports into a fresh local instrumentation bundle and
-    ships its snapshot back for an in-schedule-order merge.
+    Checkpointing, progress and result accounting stay with the parent,
+    which merges the snapshot in schedule order.
     """
     obs = make_instrumentation() if task.instrument else NULL_INSTRUMENTATION
     ambient_events = get_instrumentation().events
@@ -403,46 +450,20 @@ def _execute_worker_task(task: _WorkerTask) -> _WorkerOutcome:
         # bundle.  Pool workers have a null ambient log, so nothing
         # changes for them.
         obs.events = ambient_events
-    deployment = _worker_deployment(task.profile, task.area_name)
-    test_device = device_by_name(task.device_name)
     memo = AnalysisMemo(task.memo_dir, identity=task.memo_identity) \
         if task.memo_dir is not None else None
-    # Tests monkeypatch ``run_once`` with stand-ins that predate the
-    # memo parameter; only forward it when a store is configured.
-    run_kwargs = {"memo": memo} if memo is not None else {}
-
-    def attempt() -> RunResult:
-        # Each retry attempt gets a fresh cooperative deadline; a run
-        # that overruns raises RunTimeoutError at the next stage
-        # boundary (or here, if it only overran while finishing) and
-        # flows through the normal retry/quarantine machinery.
-        with deadline_scope(task.run_timeout_s):
-            value = run_once(deployment, task.profile, test_device,
-                             task.point, task.location_name,
-                             task.run_index, duration_s=task.duration_s,
-                             keep_trace=task.keep_trace, **run_kwargs)
-            check_deadline("run")
-            return value
-
     with instrumented(obs):
-        with obs.tracer.span("run", operator=task.profile.name,
-                             area=task.area_name,
-                             location=task.location_name,
-                             run_index=task.run_index,
-                             worker_pid=os.getpid()) as span:
-            outcome = execute_with_retry(attempt, task.policy, key=task.key)
-            run_result, quarantined, retries, timed_out = _finish_outcome(
-                outcome, task.key, span, obs.registry)
-    if run_result is not None and not task.ship_trace:
-        run_result.trace_text()
-        run_result.trace = None
-    return _WorkerOutcome(
-        key=task.key, run_result=run_result, quarantined=quarantined,
-        attempts=outcome.attempts, retries=retries,
-        metrics=obs.registry.snapshot() if task.instrument else None,
-        spans=([span.to_dict() for span in obs.tracer.spans()]
-               if task.instrument else []),
-        timed_out=timed_out)
+        outcome = _run_task(task, _worker_deployment(task.profile,
+                                                     task.area_name),
+                            device_by_name(task.device_name), memo)
+        _emit_outcome(obs.events, outcome)
+    if outcome.run_result is not None and not task.ship_trace:
+        outcome.run_result.trace_text()
+        outcome.run_result.trace = None
+    if task.instrument:
+        outcome.metrics = obs.registry.snapshot()
+        outcome.spans = [span.to_dict() for span in obs.tracer.spans()]
+    return outcome
 
 
 def _mp_context():
@@ -471,9 +492,10 @@ class CampaignRunner:
     """Run a full campaign over one or more operator profiles.
 
     ``run_fn`` defaults to :func:`run_once`; the chaos harness swaps in
-    a wrapper that injects run failures and trace corruption.  ``sleep``
-    is the retry pacing function (``None`` records backoff without
-    waiting, which simulations want).
+    a wrapper that injects run failures and trace corruption.  A custom
+    ``run_fn`` always executes in-process: it is a closure over caller
+    state (the chaos harness counts attempts), so shipping it to worker
+    processes would be both unpicklable and semantically wrong.
 
     ``obs`` is the observability bundle the campaign reports into: a
     ``campaign`` → ``run`` → ``simulate``/``analyze`` span hierarchy,
@@ -488,7 +510,6 @@ class CampaignRunner:
     profiles: list[OperatorProfile]
     config: CampaignConfig = field(default_factory=CampaignConfig)
     run_fn: Callable[..., RunResult] | None = None
-    sleep: Callable[[float], None] | None = None
     obs: Instrumentation | None = None
 
     def schedule(self) -> Iterator[ScheduledRun]:
@@ -534,33 +555,38 @@ class CampaignRunner:
             return result
 
     def _dispatch(self, obs: Instrumentation) -> CampaignResult:
-        if self.config.scheduler in ("queue", "broker"):
-            return self._run_queue(obs)
-        if self.config.scheduler != "pool":
+        backend = self.config.scheduler
+        if backend not in ("pool", "queue", "broker"):
             raise ValueError(
-                f"unknown scheduler {self.config.scheduler!r} "
+                f"unknown scheduler {backend!r} "
                 "(expected 'pool', 'queue' or 'broker')")
-        workers = self._effective_workers()
-        if workers > 1:
-            result = self._run_parallel(obs, workers)
-            if result is not None:
-                return result
-        return self._run(obs)
+        breaker = self.config.breaker()
+        policy = self.config.retry_policy()
+        if backend == "pool":
+            scheduler = self._pool_scheduler(breaker, policy)
+            workers = scheduler.workers if scheduler is not None else 1
+        else:
+            scheduler = self._queue_scheduler(breaker)
+            workers = self.config.workers or 1
+        return self._run_scheduled(obs, scheduler, breaker, policy, workers)
 
-    def _effective_workers(self) -> int:
-        """How many pool workers to actually use (1 == in-process).
-
-        Falls back to the in-process path for custom ``run_fn`` /
-        ``sleep`` hooks: they are closures over local state (the chaos
-        harness counts attempts in-process), so shipping them to
-        workers would be both unpicklable and semantically wrong.
-        """
+    def _pool_scheduler(self, breaker: CircuitBreaker,
+                        policy: RetryPolicy) -> PoolScheduler | None:
+        """The started supervised process pool, or ``None`` for the
+        in-process backend: one worker, a custom ``run_fn``, no usable
+        multiprocessing, or a pool that failed to start."""
         workers = self.config.workers or 1
-        if workers <= 1:
-            return 1
-        if self.run_fn is not None or self.sleep is not None:
-            return 1
-        return workers
+        if workers <= 1 or self.run_fn is not None:
+            return None
+        context = _mp_context()
+        if context is None:
+            return None
+        run_timeout = self.config.run_timeout_s
+        wait_budget = (parent_wait_budget(run_timeout, policy.max_retries)
+                       if run_timeout is not None else None)
+        scheduler = PoolScheduler(workers, context, breaker, policy,
+                                  wait_budget, _execute_worker_task)
+        return scheduler if scheduler.start() else None
 
     def _memo(self) -> AnalysisMemo | None:
         """The campaign's analysis memo cache, or ``None`` when disabled."""
@@ -569,103 +595,27 @@ class CampaignRunner:
         return AnalysisMemo(self.config.memo_dir,
                             identity=self.campaign_identity())
 
-    def _run(self, obs: Instrumentation) -> CampaignResult:
-        result = CampaignResult()
-        checkpoint, restored = self._open_checkpoint()
-        policy = self.config.retry_policy()
-        breaker = self.config.breaker()
-        run_fn = self.run_fn or run_once
-        memo = self._memo()
-        test_device = device_by_name(self.config.device_name)
-        schedule = list(self.schedule())
-        registry, progress = obs.registry, obs.progress
-        progress.campaign_started(len(schedule))
-        try:
-            with obs.tracer.span(
-                    "campaign", seed=self.config.seed,
-                    operators=",".join(p.name for p in self.profiles),
-                    scheduled=len(schedule)):
-                for scheduled in schedule:
-                    result.scheduled += 1
-                    registry.counter("campaign_runs_scheduled_total").inc()
-                    entry = restored.get(scheduled.key)
-                    if entry is not None and entry.succeeded:
-                        restored_run = self._restore_span(entry, scheduled,
-                                                          obs, memo)
-                        if restored_run is not None:
-                            result.add(restored_run)
-                            registry.counter(
-                                "campaign_runs_completed_total").inc()
-                            registry.counter(
-                                "campaign_runs_restored_total").inc()
-                            progress.run_restored(scheduled.key)
-                            breaker.record_success()
-                            continue
-                    if self._execute(scheduled, run_fn, test_device, policy,
-                                     checkpoint, result, obs, memo):
-                        breaker.record_success()
-                    else:
-                        # May raise CircuitBreakerOpen (fail fast with a
-                        # diagnostic summary) on a long enough streak.
-                        breaker.record_failure("quarantine", scheduled.key)
-        finally:
-            progress.campaign_finished()
-        return result
-
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-
-    def _run_parallel(self, obs: Instrumentation,
-                      workers: int) -> CampaignResult | None:
-        """Fan the schedule out over the supervised process-pool backend.
-
-        Returns ``None`` when the platform lacks usable multiprocessing
-        (the caller then falls back to the in-process path).  The
-        schedule-order merge loop itself lives in
-        :meth:`_run_scheduled`; supervision (parent-side wait budgets,
-        kill-and-rebuild cycles, in-flight rescheduling) lives in
-        :class:`~repro.campaign.scheduler.PoolScheduler`.
-        """
-        context = _mp_context()
-        if context is None:
-            return None
-        breaker = self.config.breaker()
-        policy = self.config.retry_policy()
-        run_timeout = self.config.run_timeout_s
-        wait_budget = (parent_wait_budget(run_timeout, policy.max_retries)
-                       if run_timeout is not None else None)
-        scheduler = PoolScheduler(workers, context, breaker, policy,
-                                  wait_budget, _execute_worker_task)
-        if not scheduler.start():
-            return None
-        return self._run_scheduled(obs, scheduler, breaker, policy,
-                                   workers=workers)
-
-    def _run_queue(self, obs: Instrumentation) -> CampaignResult:
-        """Spool the schedule into the durable on-disk task queue.
+    def _queue_scheduler(self, breaker: CircuitBreaker) -> QueueScheduler:
+        """The started coordinator over the durable task queue.
 
         The coordinator submits every task as a durable spool event,
         seals the queue, and merges completions — produced by
         independent ``repro worker`` processes claiming leases against
         the same spool — strictly in schedule order.  It executes no
-        runs itself (checkpoint-restored runs excepted), so it can be
-        killed and restarted against the same ``queue_dir`` at any
-        point; so can any worker, whose outstanding leases expire and
-        get stolen by the survivors.
+        runs itself (unrestorable checkpoint entries excepted), so it
+        can be killed and restarted against the same ``queue_dir`` at
+        any point; so can any worker, whose outstanding leases expire
+        and get stolen by the survivors.
         """
         backend = self.config.scheduler
         if backend == "queue" and self.config.queue_dir is None:
             raise ValueError("scheduler='queue' requires queue_dir")
         if backend == "broker" and self.config.broker_url is None:
             raise ValueError("scheduler='broker' requires broker_url")
-        if self.run_fn is not None or self.sleep is not None:
+        if self.run_fn is not None:
             raise ValueError(
-                f"scheduler={backend!r} cannot ship custom run_fn/sleep "
-                "hooks to independent worker processes; use the pool "
-                "scheduler")
-        breaker = self.config.breaker()
-        policy = self.config.retry_policy()
+                f"scheduler={backend!r} cannot ship a custom run_fn to "
+                "independent worker processes; use the pool scheduler")
         if backend == "broker":
             scheduler = self._broker_scheduler(breaker)
         else:
@@ -675,12 +625,10 @@ class CampaignRunner:
                 payload_mode="ref",
                 fsync=self.config.checkpoint_fsync,
                 default_lease_s=self.config.lease_timeout_s)
-            scheduler = QueueScheduler(queue, breaker,
-                                       poll_s=self.config.queue_poll_s,
+            scheduler = QueueScheduler(queue, breaker, poll_s=QUEUE_POLL_S,
                                        stall_s=self.config.queue_stall_s)
         scheduler.start()  # may raise CheckpointMismatchError
-        return self._run_scheduled(obs, scheduler, breaker, policy,
-                                   workers=self.config.workers or 1)
+        return scheduler
 
     def _broker_scheduler(self, breaker: CircuitBreaker):
         """The cross-host coordinator: a BrokerClient mirror behind the
@@ -699,14 +647,18 @@ class CampaignRunner:
                               identity=self.campaign_identity(),
                               default_lease_s=self.config.lease_timeout_s,
                               send=send)
-        return BrokerScheduler(client, breaker,
-                               poll_s=self.config.queue_poll_s,
+        return BrokerScheduler(client, breaker, poll_s=QUEUE_POLL_S,
                                stall_s=self.config.queue_stall_s)
 
-    def _run_scheduled(self, obs: Instrumentation, scheduler: Scheduler,
-                       breaker: CircuitBreaker, policy: RetryPolicy,
-                       workers: int) -> CampaignResult:
-        """The backend-generic schedule-order merge loop.
+    def _run_scheduled(self, obs: Instrumentation,
+                       scheduler: Scheduler | None, breaker: CircuitBreaker,
+                       policy: RetryPolicy, workers: int) -> CampaignResult:
+        """The schedule-order merge loop every backend feeds.
+
+        ``scheduler=None`` selects the in-process backend
+        (:class:`~repro.campaign.scheduler.InlineScheduler`), which runs
+        each head slot in the parent through the same executor that
+        re-executes unrestorable checkpoint entries under any backend.
 
         Ordering contract: runs are *dispatched* as the backend has
         capacity (bounded by ``scheduler.window()``) but *merged*
@@ -715,14 +667,15 @@ class CampaignRunner:
         checkpoint contents and exported counters are bit-identical to
         ``workers=1`` for the same seed whenever no worker hangs or
         crashes.  SIGTERM/SIGINT drain already-finished head slots into
-        the checkpoint (within ``shutdown_grace_s``) before re-raising
+        the checkpoint (within ``SHUTDOWN_GRACE_S``) before re-raising
         for the CLI's resume hint.
         """
         try:
             # May raise CheckpointMismatchError on a foreign checkpoint.
             checkpoint, restored = self._open_checkpoint()
         except BaseException:
-            scheduler.kill()
+            if scheduler is not None:
+                scheduler.kill()
             raise
         result = CampaignResult()
         test_device = device_by_name(self.config.device_name)
@@ -731,6 +684,30 @@ class CampaignRunner:
         registry, progress = obs.registry, obs.progress
         keep_trace = self.config.keep_traces or checkpoint is not None
         instrument = obs.registry.enabled or obs.tracer.enabled
+        memo_dir = str(self.config.memo_dir) \
+            if self.config.memo_dir is not None else None
+        memo_identity = self.campaign_identity() \
+            if memo_dir is not None else None
+
+        def task_for(scheduled: ScheduledRun) -> _WorkerTask:
+            return _WorkerTask(
+                key=scheduled.key, profile=scheduled.profile,
+                area_name=scheduled.deployment.area.name,
+                point=scheduled.point, location_name=scheduled.location_name,
+                run_index=scheduled.run_index,
+                device_name=self.config.device_name,
+                duration_s=self.config.duration_s, keep_trace=keep_trace,
+                policy=policy, ship_trace=self.config.keep_traces,
+                instrument=instrument,
+                run_timeout_s=self.config.run_timeout_s,
+                memo_dir=memo_dir, memo_identity=memo_identity)
+
+        def execute_inline(item: PendingRun) -> _WorkerOutcome:
+            return _run_task(item.task, item.scheduled.deployment,
+                             test_device, memo, self.run_fn)
+
+        if scheduler is None:
+            scheduler = InlineScheduler(execute_inline)
         window = scheduler.window()
         pending: deque[PendingRun] = deque()
         campaign_span = None
@@ -753,16 +730,12 @@ class CampaignRunner:
                     progress.run_restored(scheduled.key)
                     breaker.record_success()
                     return
-                # Unrestorable (corrupt or trace-less entry):
-                # re-execute in-process, exactly like sequential.
-                if self._execute(scheduled, self.run_fn or run_once,
-                                 test_device, policy, checkpoint,
-                                 result, obs, memo):
-                    breaker.record_success()
-                else:
-                    breaker.record_failure("quarantine", scheduled.key)
-                return
-            drained = scheduler.drain(item)
+                # Unrestorable (corrupt or trace-less entry): re-execute
+                # in the parent, whichever backend runs the rest.
+                item.task = task_for(scheduled)
+                drained = DrainResult(outcome=execute_inline(item))
+            else:
+                drained = scheduler.drain(item)
             if drained.error is not None:
                 # The backend gave the run up (hung/crashed past the
                 # retry budget); quarantine it parent-side.
@@ -784,25 +757,8 @@ class CampaignRunner:
                     if entry is not None and entry.succeeded:
                         pending.append(PendingRun(scheduled=scheduled))
                     else:
-                        task = _WorkerTask(
-                            key=scheduled.key, profile=scheduled.profile,
-                            area_name=scheduled.deployment.area.name,
-                            point=scheduled.point,
-                            location_name=scheduled.location_name,
-                            run_index=scheduled.run_index,
-                            device_name=self.config.device_name,
-                            duration_s=self.config.duration_s,
-                            keep_trace=keep_trace, policy=policy,
-                            ship_trace=self.config.keep_traces,
-                            instrument=instrument,
-                            run_timeout_s=self.config.run_timeout_s,
-                            memo_dir=(str(self.config.memo_dir)
-                                      if self.config.memo_dir is not None
-                                      else None),
-                            memo_identity=(self.campaign_identity()
-                                           if self.config.memo_dir is not None
-                                           else None))
-                        item = PendingRun(scheduled=scheduled, task=task)
+                        item = PendingRun(scheduled=scheduled,
+                                          task=task_for(scheduled))
                         scheduler.submit(item)
                         pending.append(item)
                     if window is not None:
@@ -814,7 +770,7 @@ class CampaignRunner:
             scheduler.shutdown()
         except (KeyboardInterrupt, ShutdownRequested):
             # Graceful stop: merge the head slots that already finished
-            # (bounded by shutdown_grace_s) so their outcomes reach the
+            # (bounded by SHUTDOWN_GRACE_S) so their outcomes reach the
             # checkpoint, then kill whatever is still running —
             # an orderly shutdown could block on a hung run forever.
             self._drain_on_shutdown(pending, scheduler, checkpoint, result,
@@ -876,7 +832,7 @@ class CampaignRunner:
         """Merge already-finished head slots before a graceful stop.
 
         Walks the schedule-order queue head while the head outcome is
-        (or becomes, within the remaining ``shutdown_grace_s``)
+        (or becomes, within the remaining ``SHUTDOWN_GRACE_S``)
         available, so completed in-flight work lands in the checkpoint
         instead of being re-executed on resume.  Restored (checkpointed)
         heads are simply dropped — resume restores them again for free.
@@ -884,7 +840,7 @@ class CampaignRunner:
         the schedule-order contract.
         """
         registry = obs.registry
-        deadline_s = time.monotonic() + max(0.0, self.config.shutdown_grace_s)
+        deadline_s = time.monotonic() + SHUTDOWN_GRACE_S
         while pending:
             item = pending[0]
             if item.handle is None:
@@ -909,9 +865,8 @@ class CampaignRunner:
                               outcome: _WorkerOutcome,
                               checkpoint: CampaignCheckpoint | None,
                               result: CampaignResult, obs: Instrumentation,
-                              campaign_span,
-                              breaker: CircuitBreaker | None = None) -> None:
-        """Fold one worker payload into the parent, in schedule order."""
+                              campaign_span, breaker: CircuitBreaker) -> None:
+        """Fold one executed run into the parent, in schedule order."""
         registry, progress = obs.registry, obs.progress
         if outcome.metrics is not None:
             registry.merge(outcome.metrics)
@@ -920,12 +875,8 @@ class CampaignRunner:
                              parent=campaign_span)
         if outcome.retries:
             progress.run_retried(scheduled.key, outcome.retries)
+        _emit_outcome(obs.events, outcome)
         if outcome.quarantined is not None:
-            obs.events.emit("run.quarantined", severity="warning",
-                            run_key=scheduled.key,
-                            error=outcome.quarantined.error,
-                            attempts=outcome.attempts,
-                            timed_out=outcome.timed_out)
             result.quarantine(outcome.quarantined)
             if outcome.timed_out:
                 progress.run_timed_out(scheduled.key)
@@ -935,20 +886,20 @@ class CampaignRunner:
                 checkpoint.record_failure(scheduled.key,
                                           outcome.quarantined.error,
                                           outcome.attempts)
-            if breaker is not None:
-                breaker.record_failure("quarantine", scheduled.key)
+            breaker.record_failure("quarantine", scheduled.key)
             return
         run_result = outcome.run_result
         if checkpoint is not None:
+            # A custom run_fn may drop the trace even when asked to
+            # keep it; record a trace-less success so resume still
+            # knows the run completed (it re-executes deliberately,
+            # keeping CampaignResult counters reconciled).
             checkpoint.record_success(scheduled.key, run_result.trace_text())
         if not self.config.keep_traces:
             run_result.drop_trace()
         result.add(run_result)
-        obs.events.emit("run.completed", severity="debug",
-                        run_key=scheduled.key, attempts=outcome.attempts)
         progress.run_completed(scheduled.key)
-        if breaker is not None:
-            breaker.record_success()
+        breaker.record_success()
 
     # ------------------------------------------------------------------
     # Internals
@@ -989,66 +940,6 @@ class CampaignRunner:
         # A fresh (non-resumed) campaign must not inherit stale entries.
         checkpoint.path.unlink(missing_ok=True)
         return checkpoint, {}
-
-    def _execute(self, scheduled: ScheduledRun, run_fn, test_device,
-                 policy: RetryPolicy, checkpoint: CampaignCheckpoint | None,
-                 result: CampaignResult, obs: Instrumentation,
-                 memo: AnalysisMemo | None = None) -> bool:
-        """One run through the retry loop: add, checkpoint or quarantine.
-
-        Returns True when the run completed, False when it quarantined
-        (the caller feeds that into the circuit breaker).
-        """
-        keep_trace = self.config.keep_traces or checkpoint is not None
-        registry, progress = obs.registry, obs.progress
-        run_timeout = self.config.run_timeout_s
-        # Only the stock run_once knows the memo protocol; custom
-        # run_fn hooks (the chaos harness) keep their exact signature.
-        run_kwargs = {"memo": memo} \
-            if memo is not None and run_fn is run_once else {}
-
-        def attempt() -> RunResult:
-            with deadline_scope(run_timeout):
-                value = run_fn(scheduled.deployment, scheduled.profile,
-                               test_device, scheduled.point,
-                               scheduled.location_name, scheduled.run_index,
-                               duration_s=self.config.duration_s,
-                               keep_trace=keep_trace, **run_kwargs)
-                check_deadline("run")
-                return value
-
-        with obs.tracer.span("run", operator=scheduled.profile.name,
-                             area=scheduled.deployment.area.name,
-                             location=scheduled.location_name,
-                             run_index=scheduled.run_index) as span:
-            outcome = execute_with_retry(attempt, policy, key=scheduled.key,
-                                         sleep=self.sleep)
-            run_result, quarantined, retries, timed_out = _finish_outcome(
-                outcome, scheduled.key, span, registry)
-            if retries:
-                progress.run_retried(scheduled.key, retries)
-            if quarantined is not None:
-                result.quarantine(quarantined)
-                if timed_out:
-                    progress.run_timed_out(scheduled.key)
-                else:
-                    progress.run_quarantined(scheduled.key)
-                if checkpoint is not None:
-                    checkpoint.record_failure(scheduled.key,
-                                              quarantined.error,
-                                              outcome.attempts)
-                return False
-            if checkpoint is not None:
-                # A custom run_fn may drop the trace even when asked to
-                # keep it; record a trace-less success so resume still
-                # knows the run completed (it re-executes deliberately,
-                # keeping CampaignResult counters reconciled).
-                checkpoint.record_success(scheduled.key, run_result.trace_text())
-            if not self.config.keep_traces:
-                run_result.drop_trace()
-            result.add(run_result)
-            progress.run_completed(scheduled.key)
-            return True
 
     def _restore_span(self, entry: CheckpointEntry, scheduled: ScheduledRun,
                       obs: Instrumentation,

@@ -1,35 +1,36 @@
-"""Pluggable campaign schedulers: process pool and durable task queue.
+"""Pluggable campaign schedulers: in-process, process pool, durable queue.
 
 :class:`~repro.campaign.runner.CampaignRunner` owns *what* to run (the
 schedule) and *how to account for it* (checkpoint, progress, in-order
 merge); a :class:`Scheduler` owns *where the work executes*.  The
-contract is five verbs:
+runner's one merge loop drives every backend through these verbs:
 
+``start`` / ``window``
+    Bring the backend up; bound how many submissions may wait undrained.
 ``submit``
     Durably (or at least reliably) hand one task to the backend.
-``claim``
-    A worker takes the next available task under a lease.
-``heartbeat``
-    A worker extends a lease it still holds.
-``complete``
-    A worker hands back a finished outcome, fenced by its lease token.
-``kill``
-    Tear execution down *now* (emergency stop / breaker trip).
+``seal``
+    The schedule is fully submitted.
+``drain``
+    Block until the schedule-order head's outcome (or give-up) is known.
+``poll``
+    The head's outcome if it lands within a bound (the shutdown drain).
+``kill`` / ``shutdown``
+    Tear execution down now (breaker trip, signal), or after a fully
+    drained schedule.
 
-plus the coordinator-side draining verbs (``drain`` for the blocking
-schedule-order merge, ``poll`` for the bounded shutdown drain, ``seal``
-to mark the schedule complete).  Both backends preserve the
-schedule-order merge invariant: the runner merges outcomes strictly in
-schedule order, so results, checkpoint bytes and counters are
-bit-identical to ``workers=1`` absent faults.
+Every backend preserves the schedule-order merge invariant: the runner
+merges outcomes strictly in schedule order, so results, checkpoint
+bytes and counters are bit-identical to ``workers=1`` absent faults.
 
+* :class:`InlineScheduler` — no pool: each run executes in the parent
+  when the merge loop drains it (``workers <= 1``, custom ``run_fn``
+  hooks, or no usable multiprocessing).
 * :class:`PoolScheduler` — the supervised in-host ``ProcessPool``
-  (:class:`~repro.resilience.supervision.PoolSupervisor`).  The
-  claim/heartbeat/complete verbs are *fused into the executor
-  protocol*: submitting a task both enqueues and implicitly leases it
-  to the pool, the OS scheduler is the heartbeat, and the future's
-  result is the completion.  Supervision substitutes for fencing —
-  a hung worker is killed, so it can never race its replacement.
+  (:class:`~repro.resilience.supervision.PoolSupervisor`).  Submitting
+  a task hands it to the pool, and the future's result is the
+  completion.  Supervision substitutes for lease fencing — a hung
+  worker is killed, so it can never race its replacement.
 * :class:`QueueScheduler` — the coordinator side of the durable
   on-disk queue (:class:`~repro.resilience.taskqueue.DurableTaskQueue`).
   Tasks are spooled as CRC-framed events; N independent ``repro
@@ -43,7 +44,7 @@ bit-identical to ``workers=1`` absent faults.
 
 Task and outcome payloads cross the spool as pickles (compressed,
 base64-framed into the JSON event): the exact objects the pool backend
-already pickles through the executor, which is what makes the two
+already pickles through the executor, which is what makes the
 backends bit-identical.
 """
 
@@ -66,11 +67,12 @@ from repro.resilience.supervision import (
     RunTimeoutError,
     WorkerCrashError,
 )
-from repro.resilience.taskqueue import Claim, QueueTransport
+from repro.resilience.taskqueue import QueueTransport
 
 __all__ = [
     "BrokerScheduler",
     "DrainResult",
+    "InlineScheduler",
     "PendingRun",
     "PoolScheduler",
     "QueueScheduler",
@@ -122,14 +124,9 @@ class DrainResult:
 
 
 class Scheduler:
-    """The pluggable execution backend contract (see module docstring).
-
-    Coordinator side: ``start``, ``window``, ``submit``, ``seal``,
-    ``drain``, ``poll``, ``kill``, ``shutdown``.  Worker side:
-    ``claim``, ``heartbeat``, ``complete``.
-    """
-
-    # -- coordinator side ----------------------------------------------
+    """The pluggable execution backend contract (see module docstring):
+    ``start``, ``window``, ``submit``, ``seal``, ``drain``, ``poll``,
+    ``kill``, ``shutdown``."""
 
     def start(self) -> bool:
         """Bring the backend up; False = unavailable on this platform."""
@@ -163,16 +160,45 @@ class Scheduler:
     def shutdown(self) -> None:
         """Orderly teardown after a fully drained schedule."""
 
-    # -- worker side ---------------------------------------------------
 
-    def claim(self, worker: str, lease_s: float) -> Claim | None:
-        raise NotImplementedError
+# ----------------------------------------------------------------------
+# In-process backend
+# ----------------------------------------------------------------------
 
-    def heartbeat(self, claim: Claim, lease_s: float) -> bool:
-        raise NotImplementedError
 
-    def complete(self, claim: Claim, outcome: Any) -> bool:
-        raise NotImplementedError
+#: An inline slot's handle until its run has executed.
+_NOT_RUN = object()
+
+
+class InlineScheduler(Scheduler):
+    """In-process execution: the head run executes in the parent.
+
+    ``execute`` is the runner's in-parent run executor (injected, like
+    :class:`PoolScheduler`'s ``worker_fn``, so this module never
+    imports the runner).  A window of one makes the merge loop drain
+    every slot right after submitting it, so runs execute one at a time
+    in schedule order and report straight into the parent's
+    instrumentation bundle — nothing is pickled or merged from afar.
+    """
+
+    def __init__(self, execute: Callable[[PendingRun], Any]):
+        self.execute = execute
+
+    def window(self) -> int | None:
+        return 1
+
+    def submit(self, item: PendingRun) -> None:
+        item.handle = _NOT_RUN
+
+    def drain(self, item: PendingRun) -> DrainResult:
+        item.handle = self.execute(item)
+        return DrainResult(outcome=item.handle)
+
+    def poll(self, item: PendingRun, timeout_s: float) -> Any:
+        # Never starts a run: a graceful stop must not begin new work.
+        if item.handle is _NOT_RUN:
+            raise FutureTimeoutError("inline runs execute only when drained")
+        return item.handle
 
 
 # ----------------------------------------------------------------------
@@ -307,21 +333,6 @@ class PoolScheduler(Scheduler):
     def shutdown(self) -> None:
         self.supervisor.shutdown()
 
-    # The worker verbs are fused into the executor protocol: submit()
-    # enqueues *and* implicitly leases to the pool, the OS scheduler is
-    # the heartbeat, and the future's result is the completion.
-    def claim(self, worker: str, lease_s: float) -> Claim | None:
-        raise NotImplementedError(
-            "PoolScheduler fuses claim into the executor protocol")
-
-    def heartbeat(self, claim: Claim, lease_s: float) -> bool:
-        raise NotImplementedError(
-            "PoolScheduler fuses heartbeat into the executor protocol")
-
-    def complete(self, claim: Claim, outcome: Any) -> bool:
-        raise NotImplementedError(
-            "PoolScheduler fuses complete into the executor protocol")
-
 
 # ----------------------------------------------------------------------
 # Durable task-queue backend (coordinator side)
@@ -353,7 +364,7 @@ class QueueScheduler(Scheduler):
         self.breaker = breaker
         self.poll_s = max(0.001, poll_s)
         self.stall_s = stall_s
-        self.sleep = sleep
+        self._sleep = sleep
         #: The stall diagnostic's "how to unwedge this" hint; the broker
         #: scheduler overrides it with its --broker form.
         self.worker_hint = f"repro worker --queue-dir " \
@@ -384,7 +395,7 @@ class QueueScheduler(Scheduler):
                 self._last_activity = self.queue.clock()
                 return DrainResult(outcome=decode_payload(payload))
             self._check_stall(item)
-            self.sleep(self.poll_s)
+            self._sleep(self.poll_s)
 
     def poll(self, item: PendingRun, timeout_s: float) -> Any:
         deadline = self.queue.clock() + max(0.0, timeout_s)
@@ -397,7 +408,7 @@ class QueueScheduler(Scheduler):
             if remaining <= 0:
                 raise FutureTimeoutError(
                     f"task {item.handle} not completed within {timeout_s:.1f}s")
-            self.sleep(min(self.poll_s, remaining))
+            self._sleep(min(self.poll_s, remaining))
 
     def kill(self) -> None:
         """Nothing to tear down: workers are independent processes that
@@ -406,17 +417,6 @@ class QueueScheduler(Scheduler):
 
     def shutdown(self) -> None:
         self._pump()  # final gauge refresh (depth 0, leases 0)
-
-    # -- worker verbs (delegated to the spool) -------------------------
-
-    def claim(self, worker: str, lease_s: float) -> Claim | None:
-        return self.queue.claim(worker, lease_s)
-
-    def heartbeat(self, claim: Claim, lease_s: float) -> bool:
-        return self.queue.heartbeat(claim, lease_s)
-
-    def complete(self, claim: Claim, outcome: Any) -> bool:
-        return self.queue.complete(claim, encode_payload(outcome))
 
     # -- pumping -------------------------------------------------------
 

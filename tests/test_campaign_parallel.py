@@ -9,6 +9,7 @@ a ``|`` inside a key part must not alias a shifted key split.
 """
 
 import io
+import os
 
 from repro.campaign import CampaignConfig, CampaignRunner, operator
 from repro.campaign.runner import _run_seed
@@ -122,33 +123,49 @@ class TestParallelTelemetry:
 
 
 class TestInProcessFallback:
-    def test_workers_one_never_builds_a_pool(self):
-        runner = CampaignRunner([operator("OP_V")], small_config(workers=1))
-        assert runner._effective_workers() == 1
+    """``workers <= 1`` and custom ``run_fn`` hooks run in the parent."""
 
-    def test_custom_run_fn_falls_back_to_in_process(self):
-        calls = []
+    def spy(self, calls):
+        from repro.campaign.runner import run_once
 
         def spy_run_fn(deployment, profile, device, point, location_name,
                        run_index, duration_s=300, keep_trace=False):
-            from repro.campaign.runner import run_once
-            calls.append((location_name, run_index))
+            calls.append((location_name, run_index, os.getpid()))
             return run_once(deployment, profile, device, point,
                             location_name, run_index, duration_s=duration_s,
                             keep_trace=keep_trace)
+        return spy_run_fn
 
-        runner = CampaignRunner([operator("OP_V")],
-                                small_config(workers=4), run_fn=spy_run_fn)
-        assert runner._effective_workers() == 1
-        result = runner.run()
-        # The closure observed every run: execution stayed in-process.
+    def assert_ran_in_parent(self, obs, calls, result):
+        # The closure observed every run (a pool worker's copy of the
+        # list would stay empty here), and every run span carries the
+        # parent's pid.
         assert len(calls) == result.scheduled == 4
+        assert {pid for _, _, pid in calls} == {os.getpid()}
+        run_spans = [span for span in obs.tracer.spans()
+                     if span.name == "run"]
+        assert len(run_spans) == result.scheduled
+        assert {span.attributes["worker_pid"] for span in run_spans} \
+            == {os.getpid()}
 
-    def test_custom_sleep_falls_back_to_in_process(self):
-        runner = CampaignRunner([operator("OP_V")],
-                                small_config(workers=4),
-                                sleep=lambda _delay: None)
-        assert runner._effective_workers() == 1
+    def test_workers_one_runs_in_parent(self):
+        calls = []
+        obs, result = run_campaign(small_config(workers=1),
+                                   run_fn=self.spy(calls))
+        self.assert_ran_in_parent(obs, calls, result)
+
+    def test_workers_one_stock_run_once_runs_in_parent(self, monkeypatch):
+        from repro.campaign import runner as runner_module
+        calls = []
+        monkeypatch.setattr(runner_module, "run_once", self.spy(calls))
+        obs, result = run_campaign(small_config(workers=1))
+        self.assert_ran_in_parent(obs, calls, result)
+
+    def test_custom_run_fn_falls_back_to_in_process(self):
+        calls = []
+        obs, result = run_campaign(small_config(workers=4),
+                                   run_fn=self.spy(calls))
+        self.assert_ran_in_parent(obs, calls, result)
 
 
 class TestSeedCollisionRegression:
